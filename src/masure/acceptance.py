@@ -413,9 +413,5 @@ ALL_CHECKS = [
 
 
 def run_all(seed: int = DEFAULT_SEED, numbers: list[int] | None = None) -> list[CheckResult]:
-    out = []
-    for fn in ALL_CHECKS:
-        res = fn(seed)
-        if numbers is None or res.number in numbers:
-            out.append(res)
-    return out
+    """Run the criteria numbered in ``numbers`` (all when None), in order."""
+    return [fn(seed) for k, fn in enumerate(ALL_CHECKS, 1) if numbers is None or k in numbers]

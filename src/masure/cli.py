@@ -44,8 +44,27 @@ def _data_arg(text: str) -> kmdata.KacMoodyData:
     return kmdata.data_from_json(_load_arg(text))
 
 
-def _vec_arg(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in text.replace(" ", "").split(","))
+class UsageError(ValueError):
+    """Malformed command-line input; exit code 2."""
+
+
+def _vec_arg(text: str, dim: int) -> tuple[Fraction, ...]:
+    vec = tuple(Fraction(x) for x in text.replace(" ", "").split(","))
+    if len(vec) != dim:
+        raise UsageError(f"{text!r} has {len(vec)} coordinates, expected {dim}")
+    return vec
+
+
+def _criteria_arg(text: str) -> list[int]:
+    n = len(acceptance.ALL_CHECKS)
+    try:
+        numbers = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--criteria takes comma-separated numbers, got {text!r}") from None
+    unknown = [k for k in numbers if not 1 <= k <= n]
+    if unknown:
+        raise UsageError(f"unknown criteria {unknown}; the criteria are 1-{n}")
+    return numbers
 
 
 def _word_arg(text: str) -> tuple[int, ...]:
@@ -118,7 +137,7 @@ def _cmd_weyl(args) -> int:
 
 def _cmd_cone(args) -> int:
     data = _data_arg(args.data)
-    cert = cone.normalize_to_dominant(data, _vec_arg(args.vector), args.cap)
+    cert = cone.normalize_to_dominant(data, _vec_arg(args.vector, data.rank), args.cap)
     if isinstance(cert, cone.InCone):
         obj = {"status": "in_cone", "word": list(cert.w.word),
                "image": [_frac_str(x) for x in cert.image], "steps": cert.steps}
@@ -142,8 +161,8 @@ def _find_root(data: kmdata.KacMoodyData, coords, bound: int) -> weyl.RealRoot:
 
 def _cmd_prenilpotent(args) -> int:
     data = _data_arg(args.data)
-    alpha = _find_root(data, _vec_arg(args.alpha), args.bound)
-    beta = _find_root(data, _vec_arg(args.beta), args.bound)
+    alpha = _find_root(data, _vec_arg(args.alpha, data.n), args.bound)
+    beta = _find_root(data, _vec_arg(args.beta, data.n), args.bound)
     v = cone.prenilpotent_pair(data, alpha, beta, args.bound)
     if isinstance(v, cone.Prenilpotent):
         interval = cone.closed_interval(data, alpha, beta, args.bound)
@@ -249,7 +268,7 @@ def _path_json(path: hecke.PiecewisePath) -> dict:
 def _cmd_hecke(args) -> int:
     data = _data_arg(args.data)
     path = _parse_path(args.path)
-    shape = _vec_arg(args.shape)
+    shape = _vec_arg(args.shape, data.rank)
     sign = 1 if args.chamber in ("+", "+1", "plus") else -1
     hb, wb, kmax = (int(x) for x in args.bounds.split(","))
     chamber = hecke.standard_chamber(data, sign)
@@ -313,7 +332,7 @@ def _cmd_uma(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    numbers = [int(x) for x in args.criteria.split(",")] if args.criteria else None
+    numbers = _criteria_arg(args.criteria) if args.criteria else None
     results = acceptance.run_all(args.seed, numbers)
     width = max(len(r.name) for r in results)
     failed = 0
@@ -434,6 +453,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ZeroDivisionError, OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,12 @@ The valuation ring is O = {a : val(a) >= 0}, its maximal ideal
 m = {a : val(a) > 0}, and the residue field O/m is F_p in both backends.
 ``tail_reduce`` computes the canonical representative of a coset
 ``a + F_{>=cutoff}``: the finite sum of uniformizer powers of ``a`` with
-integer exponents strictly below the cutoff.
+integer exponents strictly below the cutoff.  It is built in one step from
+the unit u = a / pi^v, v = val(a), truncated modulo pi^k, where k counts the
+exponents in [v, cutoff): over F_p(t) the first k power-series coefficients
+of u give ``t^v * (c_0 + ... + c_{k-1} t^{k-1})`` directly as a reduced
+fraction; over Q_p one modular inverse gives ``p^v * (u mod p^k)``.
+``Tail.digits`` reads its digits off the same truncation.
 """
 
 from __future__ import annotations
@@ -333,32 +338,39 @@ class FieldElement:
         return f"FieldElement[{self}]"
 
 
-def arith(a: FieldElement, b: FieldElement, kind: str) -> FieldElement:
-    """Dispatch form of +, -, *, / used by the CLI."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise FieldError(f"unknown operation {kind!r}")
-
-
-def valuation(a: FieldElement) -> int | float:
-    return a.valuation()
-
-
-def residue(a: FieldElement) -> int:
-    return a.residue()
-
-
 # ---------------------------------------------------------------------------
 # coset tails
 
 def _ceil_frac(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
+
+
+def _truncate(a: FieldElement, cutoff: Fraction) -> tuple[int, Poly | int] | None:
+    """The digits of ``a`` below the cutoff, or None when val(a) >= cutoff.
+
+    Returns (v, r) with v = val(a) and r the unit a / pi^v modulo pi^k, where
+    k is the number of integer exponents in [v, cutoff): over F_p(t) the
+    coefficient tuple (c_0, ..., c_{k-1}) with trailing zeros trimmed, over
+    Q_p the integer sum c_i p^i in [0, p^k).  The digit of ``a`` at v + i is
+    c_i, in [0, p), and c_0 != 0.
+    """
+    if a.is_zero():
+        return None
+    v = a.valuation()
+    k = _ceil_frac(cutoff) - v
+    if k <= 0:
+        return None
+    p = a.config.p
+    if a.config.kind == LAURENT:
+        num, den = a.value
+        return v, _trim(_poly_series_coeffs(num[poly_ord(num):], den[poly_ord(den):], k, p))
+    num, den = a.value.numerator, a.value.denominator
+    if v >= 0:
+        num //= p ** v
+    else:
+        den //= p ** -v
+    mod = p ** k
+    return v, num * pow(den, -1, mod) % mod
 
 
 @dataclass(frozen=True)
@@ -377,68 +389,31 @@ class Tail:
 
     def digits(self) -> dict[int, int]:
         """Exponent -> digit map of the representative (digits in [1, p))."""
-        out: dict[int, int] = {}
-        cfg = self.value.config
-        a = self.value
-        if a.is_zero():
-            return out
-        hi = _ceil_frac(Fraction(self.cutoff)) - 1
-        v = a.valuation()
-        assert isinstance(v, int)
-        if cfg.kind == LAURENT:
-            num, den = a.value
-            o_num, o_den = poly_ord(num), poly_ord(den)
-            n = hi - v + 1
-            coeffs = _poly_series_coeffs(num[o_num:], den[o_den:], n, cfg.p)
-            for i, c in enumerate(coeffs):
-                if c:
-                    out[v + i] = c
-        else:
-            r = a.value
-            p = cfg.p
-            for e in range(v, hi + 1):
-                q = r / Fraction(p) ** e
-                if q == 0:
-                    break
-                d = (q.numerator * pow(q.denominator, p - 2, p)) % p
-                if d:
-                    out[e] = d
-                    r -= d * Fraction(p) ** e
-        return out
+        got = _truncate(self.value, self.cutoff)
+        if got is None:
+            return {}
+        v, r = got
+        if self.value.config.kind == PADIC:  # r packs the digits base p
+            p, packed, r = self.value.config.p, r, []
+            while packed:
+                packed, d = divmod(packed, p)
+                r.append(d)
+        return {v + i: c for i, c in enumerate(r) if c}
 
 
 def tail_reduce(a: FieldElement, cutoff: Fraction | int) -> Tail:
     """Reduce ``a`` modulo F_{>=cutoff}: a - result lies in F_{>=cutoff}."""
     cutoff = Fraction(cutoff)
     cfg = a.config
-    if a.is_zero():
+    got = _truncate(a, cutoff)
+    if got is None:
         return Tail(cfg.zero(), cutoff)
-    v = a.valuation()
-    if v >= cutoff:
-        return Tail(cfg.zero(), cutoff)
-    hi = _ceil_frac(cutoff) - 1  # largest integer exponent < cutoff
-    if cfg.kind == LAURENT:
-        num, den = a.value
-        o_num, o_den = poly_ord(num), poly_ord(den)
-        n = hi - v + 1
-        coeffs = _poly_series_coeffs(num[o_num:], den[o_den:], n, cfg.p)
-        val = cfg.zero()
-        for i, c in enumerate(coeffs):
-            if c:
-                val = val + cfg.monomial(c, v + i)
-        return Tail(val, cutoff)
-    r = a.value
-    p = cfg.p
-    acc = Fraction(0)
-    for e in range(v, hi + 1):
-        q = r / Fraction(p) ** e
-        if q == 0:
-            break
-        d = (q.numerator * pow(q.denominator, p - 2, p)) % p
-        if d:
-            acc += d * Fraction(p) ** e
-            r -= d * Fraction(p) ** e
-    return Tail(FieldElement(cfg, acc), cutoff)
+    v, r = got
+    if cfg.kind == PADIC:
+        return Tail(FieldElement(cfg, r * Fraction(cfg.p) ** v), cutoff)
+    # t^v * r is already in lowest terms: r(0) != 0 and the denominator is monic
+    pair = ((0,) * v + r, (1,)) if v >= 0 else (r, (0,) * -v + (1,))
+    return Tail(FieldElement(cfg, pair), cutoff)
 
 
 # ---------------------------------------------------------------------------

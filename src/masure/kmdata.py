@@ -147,10 +147,10 @@ class RootVector:
     coeffs: tuple[int, ...]
 
     def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return RootVector(tuple(x + y for x, y in zip(self.coeffs, other.coeffs, strict=True)))
 
     def __sub__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return RootVector(tuple(x - y for x, y in zip(self.coeffs, other.coeffs, strict=True)))
 
     def __neg__(self) -> "RootVector":
         return RootVector(tuple(-x for x in self.coeffs))
@@ -200,7 +200,7 @@ class KacMoodyData:
 
     def pair(self, root_covector: tuple, y_vec: tuple) -> Fraction:
         """Evaluate a covector on a vector of Y tensor Q."""
-        return sum((Fraction(a) * Fraction(b) for a, b in zip(root_covector, y_vec)),
+        return sum((Fraction(a) * Fraction(b) for a, b in zip(root_covector, y_vec, strict=True)),
                    start=Fraction(0))
 
     def root_covector(self, v: RootVector) -> tuple[Fraction, ...]:

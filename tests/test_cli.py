@@ -109,6 +109,16 @@ class TestAlgebraCommands:
                            "--vector", "1,0")
         assert json.loads(out)["status"] == "not_in_cone"
 
+    @pytest.mark.parametrize("argv", [
+        ("cone", "--vector", "1"),
+        ("cone", "--vector", "1,2,3,4"),
+        ("prenilpotent", "--alpha", "1,0,0", "--beta", "0,1"),
+    ])
+    def test_dimension_mismatch(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--data", '{"matrix": [[2,-1],[-1,2]]}', *argv[1:])
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "expected 2" in err
+
     def test_prenilpotent(self, capsys):
         code, out, _ = run(capsys, "prenilpotent", "--data",
                            '{"matrix": [[2,-1],[-1,2]]}',
@@ -141,6 +151,11 @@ class TestHeckeCommand:
         # payload round-trip: printing then parsing is the identity
         assert obj["path"] == json.loads(self.PATH)
 
+    def test_shape_dimension_mismatch(self, capsys):
+        code, out, err = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
+                             "--path", self.PATH, "--shape", "2,9", "--chamber", "-")
+        assert code == 2 and out == "" and "expected 1" in err
+
     def test_reject(self, capsys):
         bad = ('{"breakpoints": ["0","1/2","1"], '
                '"positions": [["19/4"],["15/4"],["19/4"]]}')
@@ -155,7 +170,13 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--criteria", "1,2,10")
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith("PASS")]
-        assert len(lines) == 3
+        assert [int(l.split()[1]) for l in lines] == [1, 2, 10]
+
+    @pytest.mark.parametrize("criteria", ["13", "1,0", "x"])
+    def test_unknown_criteria(self, capsys, criteria):
+        code, out, err = run(capsys, "selftest", "--criteria", criteria)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "criteria" in err
 
 
 def test_data_file_argument(tmp_path, capsys):

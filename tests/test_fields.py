@@ -14,9 +14,11 @@ from masure.fields import (
     Mat2,
     NegativeValuation,
     ZeroMatrix,
+    _poly_series_coeffs,
     matrix_valuation,
     parse_element,
     parse_field,
+    poly_ord,
     tail_reduce,
     x_plus,
 )
@@ -24,6 +26,7 @@ from masure.fields import (
 F2 = FieldConfig.laurent(2)
 F3 = FieldConfig.laurent(3)
 Q2 = FieldConfig.padic(2)
+Q3 = FieldConfig.padic(3)
 Q5 = FieldConfig.padic(5)
 
 
@@ -185,6 +188,54 @@ def test_tail_homomorphism(a, b, k):
     assert tail_reduce(a + b, k).value == tail_reduce(ta + tb, k).value
     # idempotence
     assert tail_reduce(ta, k).value == ta
+
+
+def _per_digit_tail(a, cutoff):
+    """Reference: the coset representative built one digit at a time, as
+    tail_reduce did before it built the representative in one step."""
+    cfg = a.config
+    if a.is_zero() or a.valuation() >= cutoff:
+        return cfg.zero()
+    v = a.valuation()
+    hi = -((-cutoff.numerator) // cutoff.denominator) - 1
+    if cfg.kind == "laurent":
+        num, den = a.value
+        coeffs = _poly_series_coeffs(num[poly_ord(num):], den[poly_ord(den):], hi - v + 1, cfg.p)
+        val = cfg.zero()
+        for i, c in enumerate(coeffs):
+            if c:
+                val = val + cfg.monomial(c, v + i)
+        return val
+    r, p, acc = a.value, cfg.p, Fraction(0)
+    for e in range(v, hi + 1):
+        q = r / Fraction(p) ** e
+        if q == 0:
+            break
+        d = (q.numerator * pow(q.denominator, p - 2, p)) % p
+        if d:
+            acc += d * Fraction(p) ** e
+            r -= d * Fraction(p) ** e
+    return FieldElement(cfg, acc)
+
+
+@pytest.mark.parametrize("cfg", [F2, F3, Q3, Q5], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_tail_reduce_laws(cfg, data):
+    elems = _laurent_elems(cfg) if cfg.kind == "laurent" else _padic_elems(cfg)
+    a = data.draw(elems)
+    cutoff = data.draw(st.builds(Fraction, st.integers(min_value=-8, max_value=12),
+                                 st.sampled_from([1, 2, 3])))
+    tl = tail_reduce(a, cutoff)
+    assert (a - tl.value).valuation() >= cutoff
+    assert tail_reduce(tl.value, cutoff) == tl
+    digits = tl.digits()
+    assert all(e < cutoff and 0 < d < cfg.p for e, d in digits.items())
+    total = cfg.zero()
+    for e, d in digits.items():
+        total = total + cfg.monomial(d, e)
+    assert total == tl.value
+    assert tl.value == _per_digit_tail(a, cutoff)
 
 
 @settings(max_examples=80, deadline=None)
