@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance, cone, hecke, kmdata, loop, tree, weyl
-from .fields import Mat2, parse_element, parse_field
+from .fields import Mat2, ParseError, parse_element, parse_field
 
 
 def _load_arg(text: str) -> str:
@@ -49,9 +49,19 @@ class UsageError(ValueError):
 
 
 def _vec_arg(text: str, dim: int) -> tuple[Fraction, ...]:
-    vec = tuple(Fraction(x) for x in text.replace(" ", "").split(","))
+    return _vector(text.replace(" ", "").split(","), dim, text)
+
+
+def _vector(coords, dim: int, shown) -> tuple[Fraction, ...]:
+    """The list coords as a rational vector of length dim; errors name shown."""
+    if not isinstance(coords, list):
+        raise UsageError(f"{shown!r} is not a list of coordinates")
+    try:
+        vec = tuple(Fraction(str(x)) for x in coords)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{shown!r} is not a vector of rationals") from None
     if len(vec) != dim:
-        raise UsageError(f"{text!r} has {len(vec)} coordinates, expected {dim}")
+        raise UsageError(f"{shown!r} has {len(vec)} coordinates, expected {dim}")
     return vec
 
 
@@ -241,7 +251,10 @@ def _cmd_tree(args) -> int:
         v = tree.parse_point(cfg, args.p)
         _emit({"orbit_class": tree.orbit_class(v)}, args.json, str(tree.orbit_class(v)))
     elif sub == "exchange":
-        a = parse_element(cfg, args.a)
+        try:
+            a = parse_element(cfg, args.a)
+        except ParseError as exc:
+            raise UsageError(str(exc)) from None
         g2 = tree.exchange_apartment(a)
         obj = {"g": _mat_out(g2),
                "vertex": _frac_str(a.valuation()),
@@ -252,11 +265,11 @@ def _cmd_tree(args) -> int:
     return 0
 
 
-def _parse_path(text: str) -> hecke.PiecewisePath:
+def _parse_path(text: str, dim: int) -> hecke.PiecewisePath:
     obj = json.loads(_load_arg(text))
     return hecke.PiecewisePath(
         tuple(Fraction(str(t)) for t in obj["breakpoints"]),
-        tuple(tuple(Fraction(str(x)) for x in pos) for pos in obj["positions"]),
+        tuple(_vector(pos, dim, pos) for pos in obj["positions"]),
     )
 
 
@@ -267,7 +280,7 @@ def _path_json(path: hecke.PiecewisePath) -> dict:
 
 def _cmd_hecke(args) -> int:
     data = _data_arg(args.data)
-    path = _parse_path(args.path)
+    path = _parse_path(args.path, data.rank)
     shape = _vec_arg(args.shape, data.rank)
     sign = 1 if args.chamber in ("+", "+1", "plus") else -1
     hb, wb, kmax = (int(x) for x in args.bounds.split(","))
@@ -448,9 +461,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# options whose values may start with "-", which argparse reads as a flag
+# unless the value is written "--vector=-1,0"
+_SIGNED_OPTIONS = ("--vector", "--alpha", "--beta", "--shape", "--a")
+
+
+def _glue_signed(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and tok.startswith("-"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_glue_signed(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .cone import FaceDescriptor, InCone, normalize_to_dominant
 from .kmdata import KacMoodyData, finite_a1_data
-from .linalg import fm_feasible, positive_combination
+from .linalg import combination_system, fm_feasible, positive_combination
 from .weyl import (
     RealRoot,
     WeylElement,
@@ -58,6 +58,8 @@ class PiecewisePath:
             raise HeckeError("breakpoints must increase")
         if len(self.positions) != len(ts):
             raise HeckeError("one position per breakpoint")
+        if len({len(pos) for pos in self.positions}) != 1:
+            raise HeckeError("positions must have equal length")
 
     @property
     def pieces(self) -> int:
@@ -66,7 +68,7 @@ class PiecewisePath:
     def velocity(self, k: int) -> Vec:
         dt = self.breakpoints[k + 1] - self.breakpoints[k]
         return tuple((a - b) / dt for a, b in
-                     zip(self.positions[k + 1], self.positions[k]))
+                     zip(self.positions[k + 1], self.positions[k], strict=True))
 
     def velocities(self) -> list[Vec]:
         return [self.velocity(k) for k in range(self.pieces)]
@@ -77,7 +79,7 @@ class PiecewisePath:
                 if self.velocity(k - 1) != self.velocity(k)]
 
     def displacement(self) -> Vec:
-        return tuple(a - b for a, b in zip(self.positions[-1], self.positions[0]))
+        return tuple(a - b for a, b in zip(self.positions[-1], self.positions[0], strict=True))
 
 
 def path_from_tree(tree_path) -> PiecewisePath:
@@ -194,15 +196,12 @@ def admissible_roots(data: KacMoodyData, chamber: FaceDescriptor, anchor,
 
 def verify_fold(data: KacMoodyData, anchor, xi_minus, xi_plus,
                 chamber: FaceDescriptor, height_bound: int = 9,
-                word_bound: int = 6, max_reflections: int = 3
-                ) -> ChainWitness | RefutedWithinBound:
+                max_reflections: int = 3) -> ChainWitness | RefutedWithinBound:
     """Breadth-first search for a chain carrying xi_minus to xi_plus.
 
     Shortest chain wins; ties resolve by the (height, coords) candidate
-    order.  word_bound is accepted for signature parity with the other
-    verifiers and is not used by the chain search itself.
+    order.
     """
-    del word_bound
     a = _vec(anchor)
     start, goal = _vec(xi_minus), _vec(xi_plus)
     if start == goal:
@@ -233,24 +232,13 @@ def verify_fold(data: KacMoodyData, anchor, xi_minus, xi_plus,
 # dominance and height bound
 
 def _in_coroot_cone(data: KacMoodyData, v: Vec) -> bool:
-    return positive_combination(
-        [tuple(Fraction(c) for c in cr) for cr in data.simple_coroots], v
-    ) is not None
+    return positive_combination(data.simple_coroots, v) is not None
 
 
 def positively_free_coroots(data: KacMoodyData) -> bool:
     """No nonzero nonnegative combination of the coroots vanishes."""
-    vecs = [tuple(Fraction(c) for c in cr) for cr in data.simple_coroots]
-    k = len(vecs)
-    ineqs = []
-    for i in range(len(vecs[0])):
-        row = tuple(vecs[j][i] for j in range(k))
-        ineqs.append((row, Fraction(0)))
-        ineqs.append((tuple(-x for x in row), Fraction(0)))
-    for j in range(k):
-        e = tuple(Fraction(1) if i == j else Fraction(0) for i in range(k))
-        ineqs.append((e, Fraction(0)))
-    ineqs.append((tuple(Fraction(1) for _ in range(k)), Fraction(1)))
+    ineqs = combination_system(data.simple_coroots, (0,) * data.rank)
+    ineqs.append(((Fraction(1),) * data.n, Fraction(1)))
     return not fm_feasible(ineqs)
 
 
@@ -260,12 +248,12 @@ def check_dominance(data: KacMoodyData, path: PiecewisePath, chamber_sign: int) 
     plus the endpoint comparison with the displacement."""
     vels = path.velocities()
     for k in range(len(vels) - 1):
-        diff = tuple(a - b for a, b in zip(vels[k], vels[k + 1]))
+        diff = tuple(a - b for a, b in zip(vels[k], vels[k + 1], strict=True))
         if chamber_sign < 0:
             diff = tuple(-x for x in diff)
         if not _in_coroot_cone(data, diff):
             return False
-    diff = tuple(a - b for a, b in zip(vels[0], path.displacement()))
+    diff = tuple(a - b for a, b in zip(vels[0], path.displacement(), strict=True))
     if chamber_sign < 0:
         diff = tuple(-x for x in diff)
     if not _in_coroot_cone(data, diff):
@@ -295,11 +283,10 @@ def check_height_bound(data: KacMoodyData, path: PiecewisePath, d, nu, mu
     d = Fraction(d)
     nu_v, mu_v = _vec(nu), _vec(mu)
     disp = path.displacement()
-    expected = tuple(d * x - y for x, y in zip(nu_v, mu_v))
+    expected = tuple(d * x - y for x, y in zip(nu_v, mu_v, strict=True))
     if disp != expected:
         raise PreconditionUnmet("displacement is not d*nu - mu")
-    coroots = [tuple(Fraction(c) for c in cr) for cr in data.simple_coroots]
-    comb = positive_combination(coroots, mu_v)
+    comb = positive_combination(data.simple_coroots, mu_v)
     if comb is None:
         return HeightBoundReport(False, None, None, None, False)
     ht_mu = sum(comb, start=Fraction(0))
@@ -347,8 +334,7 @@ def verify_path(data: KacMoodyData, path: PiecewisePath, shape,
     folds = []
     for k in path.fold_times():
         w = verify_fold(data, path.positions[k], path.velocity(k - 1),
-                        path.velocity(k), chamber, height_bound,
-                        word_bound, max_reflections)
+                        path.velocity(k), chamber, height_bound, max_reflections)
         folds.append(FoldVerdict(path.breakpoints[k], path.positions[k], w))
     dom = check_dominance(data, path, chamber.sign)
     return HeckeReport(bil, tuple(folds), dom)

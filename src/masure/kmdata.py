@@ -9,11 +9,12 @@ with the compatibility pairing).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .linalg import Ineq, fm_feasible, kernel_basis, rank
+from .linalg import Ineq, fm_feasible, kernel_basis, rank, rref
 
 
 class KMError(ValueError):
@@ -131,7 +132,7 @@ def classify(a: KacMoodyMatrix) -> KMClass:
         raise Decomposable("classification requires an indecomposable matrix")
     if fm_feasible(_strict_system(a, +1)):
         return KMClass.FINITE
-    kern = kernel_basis([list(row) for row in a.entries])
+    kern = kernel_basis(a.entries)
     for v in kern:
         if all(x > 0 for x in v) or all(x < 0 for x in v):
             return KMClass.AFFINE
@@ -175,10 +176,6 @@ class RootVector:
         return "(" + ",".join(str(x) for x in self.coeffs) + ")"
 
 
-def height(v: RootVector) -> int:
-    return v.height()
-
-
 def simple_root_vector(n: int, i: int) -> RootVector:
     return RootVector(tuple(1 if j == i else 0 for j in range(n)))
 
@@ -215,15 +212,6 @@ class KacMoodyData:
     def eval_root(self, v: RootVector, y_vec: tuple) -> Fraction:
         return self.pair(self.root_covector(v), y_vec)
 
-    def coroot_combination(self, coeffs) -> tuple[Fraction, ...]:
-        """sum coeffs[i] * alpha_i^vee as a vector of Y tensor Q."""
-        out = [Fraction(0)] * self.rank
-        for i, c in enumerate(coeffs):
-            if c:
-                for k in range(self.rank):
-                    out[k] += Fraction(c) * self.simple_coroots[i][k]
-        return tuple(out)
-
 
 def validate_data(matrix, rank_, simple_roots, simple_coroots) -> KacMoodyData:
     a = validate(matrix) if not isinstance(matrix, KacMoodyMatrix) else matrix
@@ -243,7 +231,7 @@ def validate_data(matrix, rank_, simple_roots, simple_coroots) -> KacMoodyData:
                 raise KMError(
                     f"pairing alpha_{j}(alpha_{i}^vee) = {pairing} != a[{i}][{j}] = {a[i, j]}"
                 )
-    if rank([list(r) for r in roots]) != n:
+    if rank(roots) != n:
         raise KMError("simple roots are not linearly independent")
     return KacMoodyData(a, rank_, roots, coroots)
 
@@ -256,31 +244,14 @@ def minimal_realization(a: KacMoodyMatrix) -> KacMoodyData:
     non-pivot columns, which makes the roots independent.
     """
     n = a.n
-    rho = rank([list(r) for r in a.entries])
-    r = 2 * n - rho
-    # find non-pivot columns of A (row echelon over Q)
-    m = [[Fraction(x) for x in row] for row in a.entries]
-    pivots: list[int] = []
-    ri = 0
-    for c in range(n):
-        piv = next((i for i in range(ri, n) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[ri], m[piv] = m[piv], m[ri]
-        inv = 1 / m[ri][c]
-        m[ri] = [x * inv for x in m[ri]]
-        for i in range(n):
-            if i != ri and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[ri])]
-        pivots.append(c)
-        ri += 1
+    pivots = rref(a.entries)[1]
     free_cols = [c for c in range(n) if c not in pivots]
+    r = n + len(free_cols)
     coroots = tuple(tuple(1 if k == i else 0 for k in range(r)) for i in range(n))
     roots = []
     for j in range(n):
         cov = [a[i, j] for i in range(n)]
-        cov += [1 if j == free_cols[k] else 0 for k in range(n - rho)]
+        cov += [1 if j == c else 0 for c in free_cols]
         roots.append(tuple(cov))
     return validate_data(a, r, tuple(roots), coroots)
 
@@ -317,24 +288,14 @@ def delta_coefficients(data: KacMoodyData) -> tuple[int, ...] | None:
     a = data.matrix
     if classify(a) != KMClass.AFFINE:
         return None
-    kern = kernel_basis([list(row) for row in a.transpose().entries])
+    kern = kernel_basis(a.transpose().entries)
     v = kern[0]
     if v[0] < 0:
         v = tuple(-x for x in v)
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for x in v))
     ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,24 @@
 """Small exact linear algebra over Fraction: elimination, kernels, and
-Fourier-Motzkin feasibility for strict/weak rational inequality systems.
+Fourier-Motzkin feasibility for weak rational inequality systems.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
 
 
-def _frac_matrix(rows) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rank(rows) -> int:
-    m = _frac_matrix(rows)
-    r = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
+def rref(rows) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form over Q and its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
         piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
@@ -28,81 +28,29 @@ def rank(rows) -> int:
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+                m[i] = [x - f * y for x, y in zip(m[i], m[r], strict=True)]
+        pivots.append(c)
+    return m, pivots
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[1])
 
 
 def kernel_basis(rows) -> list[Vec]:
     """Basis of the right kernel {v : A v = 0}."""
-    m = _frac_matrix(rows)
+    m, pivots = rref(rows)
     if not m:
         return []
     ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for row_idx, pc in enumerate(pivots):
             v[pc] = -m[row_idx][fc]
         basis.append(tuple(v))
     return basis
-
-
-def solve(rows, rhs) -> Vec | None:
-    """One solution of A x = b, or None if inconsistent."""
-    m = _frac_matrix(rows)
-    b = [Fraction(x) for x in rhs]
-    if not m:
-        return () if all(x == 0 for x in b) else None
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        b[r] = b[r] * inv
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-                b[i] = b[i] - f * b[r]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if b[i] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = b[row_idx]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +70,15 @@ def _normalize(ineq: Ineq) -> Ineq:
     return tuple(x / scale for x in coeffs), const / scale
 
 
-def fm_feasible(ineqs: list[Ineq]) -> bool:
-    """Feasibility of a finite system of weak inequalities over Q."""
-    if not ineqs:
-        return True
-    nvars = len(ineqs[0][0])
-    system = {(_normalize(iq)) for iq in ineqs}
+def _eliminate(ineqs: list[Ineq]) -> tuple[list[set[Ineq]], bool]:
+    """Eliminate x_0, x_1, ... in turn.  Returns the deduplicated system
+    before each elimination and whether the system is feasible."""
+    nvars = len(ineqs[0][0]) if ineqs else 0
+    system = {_normalize(iq) for iq in ineqs}
+    stages = []
     for var in range(nvars):
-        pos, neg, rest = [], [], []
+        stages.append(system)
+        pos, neg, new = [], [], set()
         for coeffs, const in system:
             c = coeffs[var]
             if c > 0:
@@ -137,78 +86,68 @@ def fm_feasible(ineqs: list[Ineq]) -> bool:
             elif c < 0:
                 neg.append((coeffs, const))
             else:
-                rest.append((coeffs, const))
-        new = set(rest)
+                new.add((coeffs, const))
         for cp, kp in pos:
             for cn, kn in neg:
-                # cp[var] x >= kp - ...  combine to eliminate x
+                # a x_var >= ... and -b x_var >= ... combine to eliminate x_var
                 a, b = cp[var], -cn[var]
-                coeffs = tuple(b * x + a * y for x, y in zip(cp, cn))
+                coeffs = tuple(b * x + a * y for x, y in zip(cp, cn, strict=True))
                 new.add(_normalize((coeffs, b * kp + a * kn)))
         system = new
-    return all(const <= 0 for _, const in system)
+    return stages, all(const <= 0 for _, const in system)
 
 
-def positive_combination(vectors: list[Vec], target: Vec) -> Vec | None:
+def fm_feasible(ineqs: list[Ineq]) -> bool:
+    """Feasibility of a finite system of weak inequalities over Q."""
+    return _eliminate(ineqs)[1]
+
+
+def combination_system(vectors: Sequence[Sequence], target: Sequence) -> list[Ineq]:
+    """Inequalities in c for: c >= 0 and sum c_i vectors[i] = target."""
+    k = len(vectors)
+    ineqs: list[Ineq] = []
+    for row, t in zip(zip(*vectors, strict=True), target, strict=True):
+        row, t = tuple(Fraction(x) for x in row), Fraction(t)
+        ineqs += [(row, t), (tuple(-x for x in row), -t)]
+    for j in range(k):
+        ineqs.append((tuple(Fraction(int(i == j)) for i in range(k)), Fraction(0)))
+    return ineqs
+
+
+def positive_combination(vectors: Sequence[Sequence], target: Sequence) -> Vec | None:
     """Coefficients c >= 0 with sum c_i vectors[i] = target, or None."""
     if not vectors:
         return () if all(x == 0 for x in target) else None
-    k = len(vectors)
-    ineqs: list[Ineq] = []
-    for i in range(len(target)):
-        row = tuple(Fraction(vectors[j][i]) for j in range(k))
-        t = Fraction(target[i])
-        ineqs.append((row, t))
-        ineqs.append((tuple(-x for x in row), -t))
-    for j in range(k):
-        e = tuple(Fraction(1) if i == j else Fraction(0) for i in range(k))
-        ineqs.append((e, Fraction(0)))
-    return _fm_witness(ineqs, k)
+    return _fm_witness(combination_system(vectors, target))
 
 
-def _fm_witness(ineqs: list[Ineq], nvars: int) -> Vec | None:
-    """Explicit point of a feasible FM system by back-substitution."""
-    if not fm_feasible(ineqs):
+def _fm_witness(ineqs: list[Ineq]) -> Vec | None:
+    """Explicit point of a feasible FM system by back-substitution over the
+    elimination stages, re-checked against every input inequality."""
+    stages, feasible = _eliminate(ineqs)
+    if not feasible:
         return None
-    # eliminate variables one by one, then back-substitute greedily
-    stack: list[tuple[int, list[Ineq]]] = []
-    system = [(_normalize(iq)) for iq in ineqs]
-    for var in range(nvars):
-        stack.append((var, system))
-        pos, neg, rest = [], [], []
-        for coeffs, const in system:
-            c = coeffs[var]
-            (pos if c > 0 else neg if c < 0 else rest).append((coeffs, const))
-        new = list(rest)
-        for cp, kp in pos:
-            for cn, kn in neg:
-                a, b = cp[var], -cn[var]
-                coeffs = tuple(b * x + a * y for x, y in zip(cp, cn))
-                new.append(_normalize((coeffs, b * kp + a * kn)))
-        system = new
+    nvars = len(stages)
     x = [Fraction(0)] * nvars
-    for var, sys_before in reversed(stack):
+    for var in reversed(range(nvars)):
         lo, hi = None, None
-        for coeffs, const in sys_before:
+        for coeffs, const in stages[var]:
             c = coeffs[var]
             if c == 0:
                 continue
             rest = const - sum(
                 coeffs[j] * x[j] for j in range(nvars) if j != var and coeffs[j] != 0
             )
+            b = rest / c
             if c > 0:
-                b = rest / c
                 lo = b if lo is None else max(lo, b)
             else:
-                b = rest / c
                 hi = b if hi is None else min(hi, b)
         if lo is not None:
             x[var] = lo
         elif hi is not None:
             x[var] = hi
-        else:
-            x[var] = Fraction(0)
     for coeffs, const in ineqs:
-        if sum(c * v for c, v in zip(coeffs, x)) < const:
+        if sum(c * v for c, v in zip(coeffs, x, strict=True)) < const:
             return None
     return tuple(x)

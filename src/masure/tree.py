@@ -27,8 +27,7 @@ from .fields import (
     FieldConfig,
     FieldElement,
     Mat2,
-    matrix_valuation,
-    mat_identity,
+    Tail,
     s_tilde,
     t_diag,
     tail_reduce,
@@ -98,8 +97,8 @@ def point_to_str(p: TreePoint) -> str:
     """Syntax "(x; tail)" with the tail as a sum of uniformizer powers."""
     if p.tail.is_zero():
         return f"({p.x}; 0)"
-    digits = tail_reduce(p.tail, -p.x).digits()
     if p.config.kind == "laurent":
+        digits = Tail(p.tail, -p.x).digits()
         parts = []
         for e in sorted(digits):
             c = digits[e]
@@ -207,15 +206,22 @@ def monomial_action(n: Mat2, x) -> Fraction | tuple:
 # ---------------------------------------------------------------------------
 # metric structure
 
-def distance(p: TreePoint, q: TreePoint) -> Fraction:
-    """d = 2 max(m, p.x, q.x) - p.x - q.x where m = -val(p.tail - q.tail)
-    is where the two points' apartments diverge (m absent for equal tails)."""
+def _meet(p: TreePoint, q: TreePoint) -> tuple[Fraction, Fraction]:
+    """(top, d): the highest point of the geodesic [p, q] in apartment
+    coordinates, top = max(m, p.x, q.x) where m = -val(p.tail - q.tail) is
+    where the two points' apartments diverge (m absent for equal tails),
+    and the length d = 2 top - p.x - q.x."""
     diff = p.tail - q.tail
     if diff.is_zero():
         top = max(p.x, q.x)
     else:
         top = max(Fraction(-diff.valuation()), p.x, q.x)
-    return 2 * top - p.x - q.x
+    return top, 2 * top - p.x - q.x
+
+
+def distance(p: TreePoint, q: TreePoint) -> Fraction:
+    """d = 2 top - p.x - q.x, with top the meet point of ``_meet``."""
+    return _meet(p, q)[1]
 
 
 def retract_plus(p: TreePoint) -> Fraction:
@@ -249,14 +255,14 @@ def project_to_A(p: TreePoint) -> TreePoint:
 def point_on_segment(p: TreePoint, q: TreePoint, s: Fraction) -> TreePoint:
     """Point at distance s from p on the geodesic [p, q]."""
     s = Fraction(s)
-    d = distance(p, q)
+    top, d = _meet(p, q)
     if s < 0 or s > d:
         raise TreeError("parameter outside the segment")
-    diff = p.tail - q.tail
-    if diff.is_zero():
-        top = max(p.x, q.x)
-    else:
-        top = max(Fraction(-diff.valuation()), p.x, q.x)
+    return _point_at(p, q, top, s)
+
+
+def _point_at(p: TreePoint, q: TreePoint, top: Fraction, s: Fraction) -> TreePoint:
+    """Point at distance s from p on [p, q], given the meet point top."""
     if s <= top - p.x:
         return make_point(p.config, p.x + s, p.tail)
     return make_point(p.config, 2 * top - p.x - s, q.tail)
@@ -266,8 +272,8 @@ def geodesic(p: TreePoint, q: TreePoint, n: int) -> list[TreePoint]:
     """n+1 evenly spaced points from p to q."""
     if n < 1:
         raise TreeError("need at least one subdivision")
-    d = distance(p, q)
-    return [point_on_segment(p, q, Fraction(k, n) * d) for k in range(n + 1)]
+    top, d = _meet(p, q)
+    return [_point_at(p, q, top, Fraction(k, n) * d) for k in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +447,9 @@ def retract_segment(p: TreePoint, q: TreePoint, center: int) -> TreePath:
     center*oo, with exact breakpoints.  The image has at most one fold;
     the fold position is an integer and the post-fold velocity moves away
     from the center (positive for center -oo, negative for +oo)."""
-    d = distance(p, q)
+    top, d = _meet(p, q)
     if d == 0:
         raise DegenerateSegment("p = q")
-    diff = p.tail - q.tail
-    if diff.is_zero():
-        top = max(p.x, q.x)
-    else:
-        top = max(Fraction(-diff.valuation()), p.x, q.x)
     cand = {Fraction(0), d, top - p.x}
     bp, bq = p.branch_point(), q.branch_point()
     if bp is not None:
@@ -456,7 +457,7 @@ def retract_segment(p: TreePoint, q: TreePoint, center: int) -> TreePath:
     if bq is not None:
         cand.add(2 * top - p.x - Fraction(bq))
     ss = sorted(s for s in cand if 0 <= s <= d)
-    vals = [retract(point_on_segment(p, q, s), center) for s in ss]
+    vals = [retract(_point_at(p, q, top, s), center) for s in ss]
     # merge collinear pieces
     keep_t = [ss[0] / d]
     keep_v = [vals[0]]

@@ -156,6 +156,13 @@ class TestHeckeCommand:
                              "--path", self.PATH, "--shape", "2,9", "--chamber", "-")
         assert code == 2 and out == "" and "expected 1" in err
 
+    def test_path_dimension_mismatch(self, capsys):
+        bad = '{"breakpoints": [0, 1], "positions": [[0], [1, 5]]}'
+        code, out, err = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
+                             "--path", bad, "--shape", "2", "--chamber", "-")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "expected 1" in err
+
     def test_reject(self, capsys):
         bad = ('{"breakpoints": ["0","1/2","1"], '
                '"positions": [["19/4"],["15/4"],["19/4"]]}')
@@ -163,6 +170,44 @@ class TestHeckeCommand:
                            "--path", bad, "--shape", "2", "--chamber", "-")
         assert code == 1
         assert json.loads(out)["verified"] is False
+
+
+class TestSignedValues:
+    """Option values that start with "-" parse like the "--opt=value" form."""
+
+    A2 = '{"matrix": [[2,-1],[-1,2]]}'
+    PATH = '{"breakpoints": [0, 1], "positions": [[0, 0], [-1, 0]]}'
+
+    @pytest.mark.parametrize("argv", [
+        ("cone", "--data", A2, "--vector", "-1,0"),
+        ("prenilpotent", "--data", A2, "--alpha", "-1,0", "--beta", "0,1"),
+        ("prenilpotent", "--data", A2, "--alpha", "1,0", "--beta", "-1,-1"),
+        ("hecke", "verify", "--data", A2, "--path", PATH, "--shape", "-1,0"),
+        ("tree", "exchange", "--field", "F2(t)", "--json", "--a", "-t^2"),
+        ("tree", "exchange", "--field", "Q3", "--json", "--a", "-1/3"),
+    ])
+    def test_same_as_equals_form(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        glued = list(argv[:-2]) + [f"{argv[-2]}={argv[-1]}"]
+        assert run(capsys, *glued) == (code, out, err)
+
+    def test_exchange_vertex(self, capsys):
+        _, out, _ = run(capsys, "tree", "exchange", "--field", "F2(t)", "--json", "--a", "-t^2")
+        assert json.loads(out)["vertex"] == "2"
+        _, out, _ = run(capsys, "tree", "exchange", "--field", "Q3", "--json", "--a", "-1/3")
+        assert json.loads(out)["vertex"] == "-1"
+
+    @pytest.mark.parametrize("argv", [
+        ("cone", "--data", A2, "--vector", "-x,0"),
+        ("prenilpotent", "--data", A2, "--alpha", "-1,0", "--beta", "-"),
+        ("tree", "exchange", "--field", "F3(t)", "--a", "-zz"),
+        ("tree", "exchange", "--field", "Q3", "--a", "-1/3/3"),
+    ])
+    def test_malformed_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("usage error")
 
 
 class TestSelftest:

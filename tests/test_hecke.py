@@ -67,6 +67,10 @@ class TestPiecewisePath:
             PiecewisePath((Fraction(0), Fraction(0), Fraction(1)),
                           ((Fraction(0),), (Fraction(0),), (Fraction(0),)))
 
+    def test_positions_of_unequal_length(self):
+        with pytest.raises(HeckeError, match="equal length"):
+            PiecewisePath((Fraction(0), Fraction(1)), ((Fraction(0),), (Fraction(1), Fraction(5))))
+
 
 class TestBilliard:
     def test_straight_segment(self):
@@ -196,6 +200,16 @@ class TestHeightBound:
     def test_precondition(self):
         with pytest.raises(PreconditionUnmet):
             check_height_bound(A1, tree_fold_path(), 5, (1,), (0,))
+
+    def test_shape_dimension_mismatch(self):
+        # nu and mu of different lengths: an error, not a truncated comparison
+        with pytest.raises(ValueError):
+            check_height_bound(A1, straight((Fraction(0),), (Fraction(2),)), 2, (1, 7), (0,))
+
+    def test_coroot_cone_dimension_mismatch(self):
+        # rank-1 velocities against the rank-2 coroots of A2
+        with pytest.raises(ValueError):
+            check_dominance(A2, straight((Fraction(0),), (Fraction(2),)), -1)
 
     def test_synthetic_affine(self):
         # one fold through the finite wall: shape d*nu with nu = coroot-like

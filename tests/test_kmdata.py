@@ -16,7 +16,6 @@ from masure.kmdata import (
     data_to_json,
     decompose,
     delta_coefficients,
-    height,
     minimal_realization,
     rank2_data,
     validate,
@@ -155,9 +154,9 @@ class TestRealization:
 
 class TestHeight:
     def test_examples(self):
-        assert height(RootVector((1, 2))) == 3
-        assert height(RootVector((0, 0))) == 0
-        assert height(RootVector((0, -1))) == -1
+        assert RootVector((1, 2)).height() == 3
+        assert RootVector((0, 0)).height() == 0
+        assert RootVector((0, -1)).height() == -1
 
 
 def test_json_roundtrip():

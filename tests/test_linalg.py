@@ -1,0 +1,98 @@
+"""Exact linear algebra: RREF, rank, kernels and Fourier-Motzkin."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from masure.linalg import _fm_witness, fm_feasible, kernel_basis, positive_combination, rank, rref
+
+fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+nonneg = st.fractions(min_value=0, max_value=3, max_denominator=3)
+
+
+def vectors(n: int):
+    return st.lists(fracs, min_size=n, max_size=n).map(tuple)
+
+
+# nonempty matrices of at most 4x4, rows of equal length
+matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(fracs, min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+def dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v, strict=True)), start=Fraction(0))
+
+
+def test_rref_example():
+    m, pivots = rref([[0, 2, 4], [1, 1, 1], [1, 2, 3]])
+    assert m == [[1, 0, -1], [0, 1, 2], [0, 0, 0]]
+    assert pivots == [0, 1]
+
+
+@given(matrices)
+def test_kernel_vectors_are_annihilated(a):
+    for v in kernel_basis(a):
+        assert all(dot(row, v) == 0 for row in a)
+
+
+@given(matrices)
+def test_rank_plus_nullity(a):
+    assert rank(a) + len(kernel_basis(a)) == len(a[0])
+
+
+@given(matrices)
+def test_rank_of_transpose(a):
+    assert rank(a) == rank([list(col) for col in zip(*a)])
+
+
+@given(matrices)
+def test_rank_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    assert rank(a) == sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                    for row in a]).rank()
+
+
+@given(st.data())
+def test_system_around_a_point_is_feasible(data):
+    n = data.draw(st.integers(1, 3))
+    x0 = data.draw(vectors(n))
+    rows = data.draw(st.lists(vectors(n), min_size=1, max_size=6))
+    slack = data.draw(st.lists(nonneg, min_size=len(rows), max_size=len(rows)))
+    ineqs = [(r, dot(r, x0) - s) for r, s in zip(rows, slack)]
+    assert fm_feasible(ineqs)
+    x = _fm_witness(ineqs)
+    assert x is not None
+    assert all(dot(c, x) >= k for c, k in ineqs)
+
+
+@given(st.data())
+def test_positive_combination_witness(data):
+    dim = data.draw(st.integers(1, 3))
+    vecs = data.draw(st.lists(vectors(dim), min_size=1, max_size=4))
+    c0 = data.draw(st.lists(nonneg, min_size=len(vecs), max_size=len(vecs)))
+    target = tuple(sum((c * v[i] for c, v in zip(c0, vecs)), start=Fraction(0))
+                   for i in range(dim))
+    c = positive_combination(vecs, target)
+    assert c is not None and len(c) == len(vecs)
+    assert all(isinstance(x, Fraction) and x >= 0 for x in c)
+    assert tuple(sum((ci * v[i] for ci, v in zip(c, vecs)), start=Fraction(0))
+                 for i in range(dim)) == target
+
+
+@given(st.data())
+def test_contradiction_is_infeasible(data):
+    n = data.draw(st.integers(1, 3))
+    a = data.draw(vectors(n))
+    extra = data.draw(st.lists(st.tuples(vectors(n), fracs), max_size=4))
+    ineqs = [(a, Fraction(1)), (tuple(-x for x in a), Fraction(0))] + extra
+    assert not fm_feasible(ineqs)
+    assert _fm_witness(ineqs) is None
+
+
+def test_positive_combination_rejects_dimension_mismatch():
+    with pytest.raises(ValueError):
+        positive_combination([(Fraction(1), Fraction(0))], (Fraction(1),))
+    with pytest.raises(ValueError):
+        positive_combination([(Fraction(1),), (Fraction(1), Fraction(2))], (Fraction(1),))
