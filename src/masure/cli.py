@@ -48,6 +48,35 @@ class UsageError(ValueError):
     """Malformed command-line input; exit code 2."""
 
 
+def _json_arg(text: str, option: str):
+    try:
+        return json.loads(_load_arg(text))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{option} is not JSON: {exc}") from None
+
+
+def _integer(x, option: str) -> int:
+    """A JSON integer, or a string that spells one."""
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    elif isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise UsageError(f"{option}: {x!r} is not an integer")
+
+
+def _rational(x, option: str) -> Fraction:
+    """A JSON number, or a string that spells a rational."""
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(str(x))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(f"{option}: {x!r} is not a rational")
+
+
 def _vec_arg(text: str, dim: int) -> tuple[Fraction, ...]:
     return _vector(text.replace(" ", "").split(","), dim, text)
 
@@ -56,10 +85,7 @@ def _vector(coords, dim: int, shown) -> tuple[Fraction, ...]:
     """The list coords as a rational vector of length dim; errors name shown."""
     if not isinstance(coords, list):
         raise UsageError(f"{shown!r} is not a list of coordinates")
-    try:
-        vec = tuple(Fraction(str(x)) for x in coords)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{shown!r} is not a vector of rationals") from None
+    vec = tuple(_rational(x, repr(shown)) for x in coords)
     if len(vec) != dim:
         raise UsageError(f"{shown!r} has {len(vec)} coordinates, expected {dim}")
     return vec
@@ -99,7 +125,10 @@ def _mat_out(g: Mat2) -> list[list[str]]:
 # subcommand handlers
 
 def _cmd_classify(args) -> int:
-    m = kmdata.validate(json.loads(_load_arg(args.matrix)))
+    rows = _json_arg(args.matrix, "--matrix")
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
+        raise UsageError(f"--matrix must be a nonempty JSON list of rows, got {args.matrix!r}")
+    m = kmdata.validate([[_integer(x, "--matrix") for x in row] for row in rows])
     comps = kmdata.decompose(m)
     if len(comps) == 1:
         cls = kmdata.classify(m).value
@@ -226,6 +255,8 @@ def _cmd_tree(args) -> int:
         strs = [tree.point_to_str(w) for w in tree.neighbors(v)]
         _emit({"neighbors": strs}, args.json, "\n".join(strs))
     elif sub == "ball":
+        if args.radius < 0:
+            raise UsageError(f"--radius must be >= 0, got {args.radius}")
         center = tree.parse_point(cfg, args.p) if args.p else tree.origin(cfg)
         verts = tree.ball(center, args.radius)
         index = {v: i for i, v in enumerate(verts)}
@@ -266,11 +297,23 @@ def _cmd_tree(args) -> int:
 
 
 def _parse_path(text: str, dim: int) -> hecke.PiecewisePath:
-    obj = json.loads(_load_arg(text))
+    obj = _json_arg(text, "--path")
+    if not (isinstance(obj, dict) and isinstance(obj.get("breakpoints"), list)
+            and isinstance(obj.get("positions"), list)):
+        raise UsageError('--path must be a JSON object '
+                         '{"breakpoints": [...], "positions": [[...], ...]}')
     return hecke.PiecewisePath(
-        tuple(Fraction(str(t)) for t in obj["breakpoints"]),
+        tuple(_rational(t, "--path breakpoint") for t in obj["breakpoints"]),
         tuple(_vector(pos, dim, pos) for pos in obj["positions"]),
     )
+
+
+def _bounds_arg(text: str) -> tuple[int, int, int]:
+    try:
+        hb, wb, kmax = (int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"--bounds takes H,L,k_max as three integers, got {text!r}") from None
+    return hb, wb, kmax
 
 
 def _path_json(path: hecke.PiecewisePath) -> dict:
@@ -283,7 +326,7 @@ def _cmd_hecke(args) -> int:
     path = _parse_path(args.path, data.rank)
     shape = _vec_arg(args.shape, data.rank)
     sign = 1 if args.chamber in ("+", "+1", "plus") else -1
-    hb, wb, kmax = (int(x) for x in args.bounds.split(","))
+    hb, wb, kmax = _bounds_arg(args.bounds)
     chamber = hecke.standard_chamber(data, sign)
     report = hecke.verify_path(data, path, shape, chamber, hb, wb, kmax)
     folds = []
@@ -303,7 +346,15 @@ def _cmd_hecke(args) -> int:
     return 0 if report.verified else 1
 
 
+# The largest index gm accepts: the recurrence for L_32 (8349 monomials)
+# and its printing take 1.05-1.15 s on a 2-core x86-64 VM under Python
+# 3.11.7, L_31 about 0.9 s, and the time grows about 1.4x per index.
+GM_MAX_N = 32
+
+
 def _cmd_gm(args) -> int:
+    if not 0 <= args.n <= GM_MAX_N:
+        raise UsageError(f"--n must be in 0..{GM_MAX_N}, got {args.n}")
     p = loop.gm_poly(args.n)
     if args.json:
         obj = {",".join(map(str, e)): str(c) for e, c in sorted(p.items())}
@@ -317,19 +368,33 @@ def _ring_arg(text: str) -> loop.SeriesRing:
     text = text.strip()
     if text in ("Q", "q"):
         return loop.SeriesRing(loop.QQ)
-    if text.startswith("F"):
-        return loop.SeriesRing(loop.GF, int(text[1:]))
-    raise ValueError(f"unknown coefficient ring {text!r}; use Q or F<p>")
+    if text.startswith("F") and text[1:].isdigit():
+        try:
+            return loop.SeriesRing(loop.GF, int(text[1:]))
+        except loop.LoopError as exc:
+            raise UsageError(f"--ring {text}: {exc}") from None
+    raise UsageError(f"unknown coefficient ring {text!r}; use Q or F<p>")
+
+
+def _uma_matrix_arg(text: str, ring: loop.SeriesRing) -> list[list]:
+    """The 2x2 JSON matrix of coefficient lists, as four coefficient lists."""
+    rows = _json_arg(text, "--matrix")
+    if not (isinstance(rows, list) and len(rows) == 2
+            and all(isinstance(row, list) and len(row) == 2
+                    and all(isinstance(cell, list) for cell in row) for row in rows)):
+        raise UsageError("--matrix must be a 2x2 JSON matrix of coefficient lists, "
+                         f"e.g. [[[1],[0]],[[0],[1]]]; got {text!r}")
+    coeff = _rational if ring.kind == loop.QQ else _integer
+    return [[coeff(c, "--matrix") for c in cell] for row in rows for cell in row]
 
 
 def _cmd_uma(args) -> int:
     ring = _ring_arg(args.ring)
     n = args.mod
-    rows = json.loads(_load_arg(args.matrix))
-    entries = [loop.series(ring, [Fraction(str(c)) if ring.kind == loop.QQ else int(c)
-                                  for c in cell], n)
-               for row in rows for cell in row]
-    m = loop.SeriesMatrix(*entries)
+    if n < 1:
+        raise UsageError(f"--mod must be >= 1, got {n}")
+    m = loop.SeriesMatrix(*(loop.series(ring, cell, n)
+                            for cell in _uma_matrix_arg(args.matrix, ring)))
     if args.uma_cmd == "member":
         _emit({"member": loop.uma_membership(m)}, True)
         return 0
@@ -441,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hecke)
 
     p = sub.add_parser("gm", help="print a divided-power exponential coefficient")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"index, 0..{GM_MAX_N} (L_{GM_MAX_N} takes about 1 s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_gm)
 
@@ -451,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = usub.add_parser(name)
         q.add_argument("--matrix", required=True,
                        help="JSON 2x2 of coefficient lists (low degree first)")
-        q.add_argument("--mod", type=int, required=True)
+        q.add_argument("--mod", type=int, required=True, help="modulus N >= 1 (mod t^N)")
         q.add_argument("--ring", default="F2", help="F<p> or Q")
     p.set_defaults(fn=_cmd_uma)
 

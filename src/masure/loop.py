@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import lcm
+from operator import mul
 
 from .fields import is_prime
 
@@ -251,7 +254,9 @@ class SeriesRing:
             raise LoopError(f"unknown coefficient ring {self.kind!r}")
 
     def coerce(self, c):
-        return c % self.p if self.kind == GF else Fraction(c)
+        if self.kind == GF:
+            return c % self.p
+        return c if type(c) is Fraction else Fraction(c)
 
     def inv(self, c):
         if self.kind == GF:
@@ -261,6 +266,26 @@ class SeriesRing:
         if c == 0:
             raise ZeroDivisionError("non-unit constant term")
         return 1 / Fraction(c)
+
+    def lift(self, coeffs) -> tuple[tuple[int, ...], int]:
+        """Integer numerators over one common denominator: coeffs[k] is
+        nums[k] / den.  Over F_p the coefficients are their own numerators
+        over 1."""
+        if self.kind == GF:
+            return coeffs, 1
+        den = lcm(*(c.denominator for c in coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+    def frac(self, nums, den: int, ratio: int = 1) -> tuple:
+        """The coefficients nums[k] / (den * ratio^k), each reduced once;
+        over F_p, den and ratio are units."""
+        dens = accumulate(repeat(ratio), mul, initial=den)
+        if self.kind == GF:
+            p = self.p
+            if den == ratio == 1:
+                return tuple([c % p for c in nums])
+            return tuple(c * pow(d, -1, p) % p for c, d in zip(nums, dens))
+        return tuple(map(Fraction, nums, dens))
 
 
 @dataclass(frozen=True)
@@ -276,7 +301,7 @@ class TruncSeries:
             raise LoopError("modulus must be >= 1")
         cs = list(self.coeffs)[: self.modulus]
         cs += [0] * (self.modulus - len(cs))
-        object.__setattr__(self, "coeffs", tuple(self.ring.coerce(c) for c in cs))
+        object.__setattr__(self, "coeffs", tuple(map(self.ring.coerce, cs)))
 
     def _check(self, other: "TruncSeries") -> None:
         if self.ring != other.ring:
@@ -298,31 +323,39 @@ class TruncSeries:
     def __mul__(self, o: "TruncSeries") -> "TruncSeries":
         self._check(o)
         n = self.modulus
+        xs, dx = self.ring.lift(self.coeffs)
+        ys, dy = self.ring.lift(o.coeffs)
+        nonzero = [(j, b) for j, b in enumerate(ys) if b]
         out = [0] * n
-        for i, a in enumerate(self.coeffs):
+        for i, a in enumerate(xs):
             if not a:
                 continue
-            for j in range(n - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(self.ring, tuple(out), n)
-
-    def is_unit(self) -> bool:
-        c = self.coeffs[0]
-        return (c % self.ring.p != 0) if self.ring.kind == GF else c != 0
+            for j, b in nonzero:
+                if i + j >= n:
+                    break
+                out[i + j] += a * b
+        return TruncSeries(self.ring, self.ring.frac(out, dx * dy), n)
 
     def inverse(self) -> "TruncSeries":
-        n = self.modulus
-        inv0 = self.ring.inv(self.coeffs[0])
-        out = [0] * n
-        out[0] = inv0
+        """1/f for f = F/D with integer F: with h_0 = 1 and
+        h_k = -sum_{j=1..k} F_j h_{k-j} F_0^(j-1), the k-th coefficient of
+        1/f is D h_k / F_0^(k+1).  Over F_p (p > 0) the powers of F_0 and
+        every h_k are kept reduced mod p."""
+        ring, n, p = self.ring, self.modulus, self.ring.p
+        nums, den = ring.lift(self.coeffs)
+        f0 = nums[0]
+        if not f0:
+            raise ZeroDivisionError("non-unit constant term")
+        weights = [(j, c * pow(f0, j - 1, p or None)) for j, c in enumerate(nums) if j and c]
+        h = [1]
         for k in range(1, n):
             acc = 0
-            for j in range(k):
-                acc += out[j] * self.coeffs[k - j]
-            out[k] = self.ring.coerce(-acc * inv0)
-        return TruncSeries(self.ring, tuple(out), n)
+            for j, w in weights:
+                if j > k:
+                    break
+                acc -= w * h[k - j]
+            h.append(acc % p if p else acc)
+        return TruncSeries(ring, ring.frac([den * hk for hk in h], f0, f0), n)
 
     def shift_in_t(self) -> bool:
         """True when the series lies in tR[[t]]."""
@@ -367,7 +400,7 @@ def one_minus_rtn(ring: SeriesRing, r, n: int, modulus: int) -> TruncSeries:
     cs = [0] * modulus
     cs[0] = 1
     if n < modulus:
-        cs[n] = -Fraction(r) if ring.kind == QQ else -r
+        cs[n] = -ring.coerce(r)
     return TruncSeries(ring, tuple(cs), modulus)
 
 
@@ -439,8 +472,7 @@ def series_to_product_params(f: TruncSeries) -> tuple:
     partial = series_one(f.ring, n)
     for k in range(1, n):
         # partial = f + t^k * (...); the next parameter is that coefficient
-        diff = partial - f
-        r = diff.coeffs[k]
+        r = f.ring.coerce(partial.coeffs[k] - f.coeffs[k])
         params.append(r)
         partial = partial * one_minus_rtn(f.ring, r, k, n)
     return tuple(params)

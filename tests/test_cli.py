@@ -4,13 +4,18 @@ import json
 
 import pytest
 
-from masure.cli import main
+from masure.cli import GM_MAX_N, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
 
 
 class TestClassify:
@@ -34,6 +39,11 @@ class TestClassify:
             main(["classify"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("matrix", ["5", "{}", "[]", "[1, 2]", '[[2,"a"],[0,2]]',
+                                        "[[2,-1.5],[-1,2]]", "x"])
+    def test_malformed_matrix(self, capsys, matrix):
+        assert_usage_error(*run(capsys, "classify", "--matrix", matrix))
+
 
 class TestTree:
     def test_dist_example(self, capsys):
@@ -54,6 +64,9 @@ class TestTree:
         obj = json.loads(out)
         assert obj["values"] == ["7", "6", "9"]
         assert obj["folds"] == [["1/4", "6"]]
+
+    def test_ball_negative_radius(self, capsys):
+        assert_usage_error(*run(capsys, "tree", "ball", "--field", "F2(t)", "--radius", "-1"))
 
     def test_ball_dot(self, capsys):
         code, out, _ = run(capsys, "tree", "ball", "--field", "F2(t)",
@@ -130,12 +143,50 @@ class TestAlgebraCommands:
     def test_gm(self, capsys):
         code, out, _ = run(capsys, "gm", "--n", "2")
         assert code == 0 and out.strip() == "1/2*Z2 + 1/2*Z1^2"
+        assert run(capsys, "gm", "--n", "0")[:2] == (0, "1\n")
+
+    @pytest.mark.parametrize("n", ["-1", str(GM_MAX_N + 1)])
+    def test_gm_index_out_of_budget(self, capsys, n):
+        code, out, err = run(capsys, "gm", "--n", n)
+        assert_usage_error(code, out, err)
+        assert f"0..{GM_MAX_N}" in err
 
     def test_uma_member(self, capsys):
         code, out, _ = run(capsys, "uma", "member", "--matrix",
                            "[[[1,0],[0,0]],[[0,1],[1,0]]]", "--mod", "2",
                            "--ring", "F2")
         assert code == 0 and json.loads(out)["member"] is True
+
+    def test_uma_factorize_q(self, capsys):
+        # L = [[1,0],[2t,1]], D = diag(1 + t/2, 1/(1 + t/2)), U = [[1,1/3],[0,1]]
+        m = '[[["1","1/2"],["1/3","1/6"]],[["0","2","1"],["1","1/6","7/12"]]]'
+        code, out, _ = run(capsys, "uma", "factorize", "--matrix", m, "--mod", "3",
+                           "--ring", "Q")
+        assert code == 0
+        assert json.loads(out) == {
+            "L": [[["1", "0", "0"], ["0", "0", "0"]], [["0", "2", "0"], ["1", "0", "0"]]],
+            "D": [[["1", "1/2", "0"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["1", "-1/2", "1/4"]]],
+            "U": [[["1", "0", "0"], ["1/3", "0", "0"]], [["0", "0", "0"], ["1", "0", "0"]]]}
+
+    @pytest.mark.parametrize("argv", [
+        ("--matrix", "[[1,0],[0,1]]", "--mod", "3"),
+        ("--matrix", "[[1,0]]", "--mod", "3"),
+        ("--matrix", "[[[1]]]", "--mod", "4"),
+        ("--matrix", "[[[1],[0]],[[0],[1],[2]]]", "--mod", "2"),
+        ("--matrix", '{"a": 1}', "--mod", "2"),
+        ("--matrix", "nope", "--mod", "2"),
+        ("--matrix", "[[[1],[0]],[[0],[1]]]", "--mod", "0"),
+        ("--matrix", '[[["x"],[0]],[[0],[1]]]', "--mod", "2"),
+        ("--matrix", '[[["x"],[0]],[[0],[1]]]', "--mod", "2", "--ring", "Q"),
+        ("--matrix", "[[[1],[0]],[[0],[true]]]", "--mod", "2"),
+        ("--matrix", "[[[1],[0]],[[0],[1.5]]]", "--mod", "2", "--ring", "F5"),
+        ("--matrix", "[[[1],[0]],[[0],[1]]]", "--mod", "2", "--ring", "F4"),
+        ("--matrix", "[[[1],[0]],[[0],[1]]]", "--mod", "2", "--ring", "Z"),
+    ])
+    @pytest.mark.parametrize("cmd", ["member", "factorize"])
+    def test_uma_malformed_input(self, capsys, cmd, argv):
+        assert_usage_error(*run(capsys, "uma", cmd, *argv))
 
 
 class TestHeckeCommand:
@@ -162,6 +213,18 @@ class TestHeckeCommand:
                              "--path", bad, "--shape", "2", "--chamber", "-")
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "expected 1" in err
+
+    @pytest.mark.parametrize("path, bounds", [
+        (PATH, "9,6"),
+        (PATH, "9,6,x"),
+        ('{"breakpoints": [0, 1]}', "9,6,3"),
+        ('{"positions": [[0], [1]]}', "9,6,3"),
+        ("[1]", "9,6,3"),
+        ('{"breakpoints": ["0", "a"], "positions": [[0], [1]]}', "9,6,3"),
+    ])
+    def test_malformed_path_or_bounds(self, capsys, path, bounds):
+        assert_usage_error(*run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
+                                "--path", path, "--shape", "2", "--bounds", bounds))
 
     def test_reject(self, capsys):
         bad = ('{"breakpoints": ["0","1/2","1"], '

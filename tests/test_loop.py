@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masure.loop import (
     GF,
@@ -35,6 +37,7 @@ from masure.loop import (
 
 R2 = SeriesRing(GF, 2)
 R3 = SeriesRing(GF, 3)
+R5 = SeriesRing(GF, 5)
 RQ = SeriesRing(QQ)
 
 HALF = Fraction(1, 2)
@@ -236,3 +239,139 @@ class TestUma:
                 m = low * diag * up
                 l2, d2, u2 = uma_factorize(m)
                 assert (l2.c, d2.a, d2.d, u2.b) == (low.c, diag.a, diag.d, up.b)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel of TruncSeries against test-local schoolbook arithmetic
+
+PROPERTY_RINGS = (R2, R5, RQ)
+
+
+def _norm(ring, c):
+    """c as a reduced coefficient of ring: a Fraction over Q, an int in [0, p) over F_p."""
+    return Fraction(c) if ring.kind == QQ else c % ring.p
+
+
+def _coefficient(ring):
+    if ring.kind == GF:
+        return st.integers(-12, 12)
+    return st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def _coeff_lists(draw, ring, n, constant=None):
+    """n coefficients of ring; the constant term is 0 or a unit when asked."""
+    cs = draw(st.lists(_coefficient(ring), min_size=n, max_size=n))
+    if constant == "zero":
+        cs[0] = ring.p if ring.kind == GF else 0
+    elif constant == "unit":
+        cs[0] = draw(st.integers(1, ring.p - 1) if ring.kind == GF
+                     else st.fractions(min_value=-9, max_value=9, max_denominator=12)
+                     .filter(bool))
+    return cs
+
+
+def _reduced(ring, coeffs) -> bool:
+    if ring.kind == GF:
+        return all(type(c) is int and 0 <= c < ring.p for c in coeffs)
+    return all(type(c) is Fraction for c in coeffs)
+
+
+def _schoolbook_mul(ring, xs, ys, n):
+    return tuple(_norm(ring, sum((Fraction(xs[i]) * Fraction(ys[k - i]) for i in range(k + 1)),
+                                 Fraction(0)))
+                 for k in range(n))
+
+
+def _schoolbook_inverse(ring, cs):
+    """g_0 = 1/c_0 and g_k = -(sum_{j=1..k} c_j g_{k-j}) / c_0, one term at a time."""
+    inv0 = Fraction(1, 1) / cs[0] if ring.kind == QQ else pow(cs[0], ring.p - 2, ring.p)
+    g = [_norm(ring, inv0)]
+    for k in range(1, len(cs)):
+        g.append(_norm(ring, -sum(cs[j] * g[k - j] for j in range(1, k + 1)) * inv0))
+    return tuple(g)
+
+
+@st.composite
+def _products(draw):
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    n = draw(st.integers(1, 24))
+    constants = st.sampled_from([None, "zero", "unit"])
+    return (ring, n, draw(_coeff_lists(ring, n, draw(constants))),
+            draw(_coeff_lists(ring, n, draw(constants))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_products())
+def test_mul_matches_schoolbook(case):
+    ring, n, xs, ys = case
+    prod = series(ring, xs, n) * series(ring, ys, n)
+    assert prod.coeffs == _schoolbook_mul(ring, xs, ys, n)
+    assert _reduced(ring, prod.coeffs)
+
+
+@st.composite
+def _units(draw):
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    n = draw(st.integers(1, 24))
+    return ring, n, series(ring, draw(_coeff_lists(ring, n, "unit")), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_units())
+def test_inverse_matches_recursion(case):
+    ring, n, f = case
+    inv = f.inverse()
+    assert inv.coeffs == _schoolbook_inverse(ring, f.coeffs)
+    assert _reduced(ring, inv.coeffs)
+    assert f * inv == series_one(ring, n)
+
+
+@pytest.mark.parametrize("ring", PROPERTY_RINGS, ids=["F2", "F5", "Q"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_non_unit_inverse_raises(ring, data):
+    n = data.draw(st.integers(1, 24))
+    f = series(ring, data.draw(_coeff_lists(ring, n, "zero")), n)
+    with pytest.raises(ZeroDivisionError):
+        f.inverse()
+
+
+@st.composite
+def _one_mod_t(draw):
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    n = draw(st.integers(1, 24))
+    cs = draw(_coeff_lists(ring, n))
+    cs[0] = 1
+    return ring, n, series(ring, cs, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_one_mod_t())
+def test_product_params_roundtrip(case):
+    ring, n, f = case
+    params = series_to_product_params(f)
+    assert len(params) == n - 1 and _reduced(ring, params)
+    assert product_from_params(ring, params, n) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lift_and_frac(data):
+    ring = data.draw(st.sampled_from(PROPERTY_RINGS))
+    n = data.draw(st.integers(1, 24))
+    coeffs = series(ring, data.draw(_coeff_lists(ring, n)), n).coeffs
+    nums, den = ring.lift(coeffs)
+    assert all(type(c) is int for c in nums) and type(den) is int and den >= 1
+    assert ring.frac(nums, den) == coeffs
+    # any integer numerators, over a unit den and ratio: nums[k] / (den * ratio^k)
+    nums = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+    unit = st.integers(1, ring.p - 1) if ring.kind == GF else st.integers(-30, 30).filter(bool)
+    den, ratio = data.draw(unit), data.draw(st.just(1) | unit)
+    got = ring.frac(nums, den, ratio)
+    if ring.kind == QQ:
+        want = tuple(Fraction(c) / den / Fraction(ratio) ** k for k, c in enumerate(nums))
+    else:
+        want = tuple(c * pow(den * ratio ** k, ring.p - 2, ring.p) % ring.p
+                     for k, c in enumerate(nums))
+    assert got == want and _reduced(ring, got)
