@@ -40,10 +40,6 @@ def _emit(obj, as_json: bool, text: str | None = None) -> None:
         print(text if text is not None else json.dumps(obj, sort_keys=True))
 
 
-def _data_arg(text: str) -> kmdata.KacMoodyData:
-    return kmdata.data_from_json(_load_arg(text))
-
-
 class UsageError(ValueError):
     """Malformed command-line input; exit code 2."""
 
@@ -65,6 +61,35 @@ def _integer(x, option: str) -> int:
     elif isinstance(x, int) and not isinstance(x, bool):
         return x
     raise UsageError(f"{option}: {x!r} is not an integer")
+
+
+def _int_rows(x, option: str) -> list[list[int]]:
+    """A nonempty JSON list of rows of integers."""
+    if not (isinstance(x, list) and x and all(isinstance(row, list) for row in x)):
+        raise UsageError(f"{option} must be a nonempty JSON list of rows, got {json.dumps(x)}")
+    return [[_integer(v, option) for v in row] for row in x]
+
+
+_REALIZATION_KEYS = ("rank", "simple_roots", "simple_coroots")
+
+
+def _data_arg(text: str) -> kmdata.KacMoodyData:
+    """A root datum {"matrix": rows}, with an optional "realization"
+    {"rank": r, "simple_roots": rows, "simple_coroots": rows}; without one,
+    the minimal realization."""
+    obj = _json_arg(text, "--data")
+    real = obj.get("realization") if isinstance(obj, dict) else None
+    real_ok = not real or isinstance(real, dict) and all(k in real for k in _REALIZATION_KEYS)
+    if not (isinstance(obj, dict) and "matrix" in obj and real_ok):
+        raise UsageError('--data must be a JSON object {"matrix": [[...]]} with an optional '
+                         '"realization": {"rank": r, "simple_roots": [[...]], '
+                         '"simple_coroots": [[...]]}')
+    matrix = kmdata.validate(_int_rows(obj["matrix"], "--data matrix"))
+    if not real:
+        return kmdata.minimal_realization(matrix)
+    return kmdata.validate_data(matrix, _integer(real["rank"], "--data rank"),
+                                _int_rows(real["simple_roots"], "--data simple_roots"),
+                                _int_rows(real["simple_coroots"], "--data simple_coroots"))
 
 
 def _rational(x, option: str) -> Fraction:
@@ -111,10 +136,17 @@ def _word_arg(text: str) -> tuple[int, ...]:
 
 
 def _mat_arg(cfg, text: str) -> Mat2:
-    rows = json.loads(_load_arg(text))
-    a, b = rows[0]
-    c, d = rows[1]
-    return Mat2(*(parse_element(cfg, str(e)) for e in (a, b, c, d)))
+    """The 2x2 JSON matrix [[a,b],[c,d]] of field-element strings."""
+    rows = _json_arg(text, "--g")
+    if not (isinstance(rows, list) and len(rows) == 2
+            and all(isinstance(row, list) and len(row) == 2
+                    and all(isinstance(e, str) for e in row) for row in rows)):
+        raise UsageError('--g must be a 2x2 JSON matrix of element strings, '
+                         f'e.g. [["1","t"],["0","1"]]; got {text!r}')
+    try:
+        return Mat2(*(parse_element(cfg, e) for row in rows for e in row))
+    except ParseError as exc:
+        raise UsageError(f"--g: {exc}") from None
 
 
 def _mat_out(g: Mat2) -> list[list[str]]:
@@ -125,10 +157,7 @@ def _mat_out(g: Mat2) -> list[list[str]]:
 # subcommand handlers
 
 def _cmd_classify(args) -> int:
-    rows = _json_arg(args.matrix, "--matrix")
-    if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
-        raise UsageError(f"--matrix must be a nonempty JSON list of rows, got {args.matrix!r}")
-    m = kmdata.validate([[_integer(x, "--matrix") for x in row] for row in rows])
+    m = kmdata.validate(_int_rows(_json_arg(args.matrix, "--matrix"), "--matrix"))
     comps = kmdata.decompose(m)
     if len(comps) == 1:
         cls = kmdata.classify(m).value
@@ -188,7 +217,7 @@ def _cmd_cone(args) -> int:
     return 0
 
 
-def _find_root(data: kmdata.KacMoodyData, coords, bound: int) -> weyl.RealRoot:
+def _find_root(data: kmdata.KacMoodyData, coords) -> weyl.RealRoot:
     v = kmdata.RootVector(tuple(int(x) for x in coords))
     target = v if v.is_positive() else -v
     rs = weyl.enumerate_real_roots(data, max(abs(v.height()), 1))
@@ -199,9 +228,11 @@ def _find_root(data: kmdata.KacMoodyData, coords, bound: int) -> weyl.RealRoot:
 
 
 def _cmd_prenilpotent(args) -> int:
+    if args.bound < 0:
+        raise UsageError(f"--bound must be >= 0, got {args.bound}")
     data = _data_arg(args.data)
-    alpha = _find_root(data, _vec_arg(args.alpha, data.n), args.bound)
-    beta = _find_root(data, _vec_arg(args.beta, data.n), args.bound)
+    alpha = _find_root(data, _vec_arg(args.alpha, data.n))
+    beta = _find_root(data, _vec_arg(args.beta, data.n))
     v = cone.prenilpotent_pair(data, alpha, beta, args.bound)
     if isinstance(v, cone.Prenilpotent):
         interval = cone.closed_interval(data, alpha, beta, args.bound)

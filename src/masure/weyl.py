@@ -26,43 +26,33 @@ def _identity(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _mat_vec(a: IntMat, v) -> tuple:
     return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
 
 
-def _simple_q_matrix(data: KacMoodyData, i: int) -> IntMat:
-    """Action of r_i on root-lattice coordinates: the i-th coordinate of
-    r_i(v) is v_i - sum_j a[i][j] v_j, all others are unchanged."""
-    n = data.n
-    rows = []
-    for k in range(n):
-        if k != i:
-            rows.append(tuple(1 if j == k else 0 for j in range(n)))
-        else:
-            rows.append(tuple((1 if j == i else 0) - data.matrix[i, j] for j in range(n)))
-    return tuple(rows)
+def _right_q(data: KacMoodyData, q: IntMat, i: int) -> IntMat:
+    """q . r_i on root-lattice coordinates: column j becomes q_j - a[i][j] q_i."""
+    ai = data.matrix.entries[i]
+    return tuple(tuple(x - c * row[i] for x, c in zip(row, ai)) for row in q)
 
 
-def _simple_y_matrix(data: KacMoodyData, i: int) -> IntMat:
-    """Action of r_i on Y: e_k -> e_k - alpha_i(e_k) alpha_i^vee."""
-    r = data.rank
-    cols = []
-    for k in range(r):
-        col = [1 if j == k else 0 for j in range(r)]
-        c = data.simple_roots[i][k]
-        if c:
-            for j in range(r):
-                col[j] -= c * data.simple_coroots[i][j]
-        cols.append(col)
-    return tuple(tuple(cols[j][i2] for j in range(r)) for i2 in range(r))
+def _right_y(data: KacMoodyData, y: IntMat, i: int) -> IntMat:
+    """y . r_i on Y: column k becomes y_k - alpha_i[k] (y alpha_i^vee)."""
+    root, coroot = data.simple_roots[i], data.simple_coroots[i]
+    out = []
+    for row in y:
+        t = sum(x * c for x, c in zip(row, coroot))
+        out.append(tuple(x - t * c for x, c in zip(row, root)))
+    return tuple(out)
+
+
+def _first_descent(q: IntMat) -> int | None:
+    """The smallest i with w.alpha_i (column i of q) negative, i.e.
+    l(w r_i) < l(w); None for the identity."""
+    for i in range(len(q)):
+        if all(row[i] <= 0 for row in q):
+            return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -102,7 +92,8 @@ def identity_element(data: KacMoodyData) -> WeylElement:
 
 
 def simple_reflection(data: KacMoodyData, i: int) -> WeylElement:
-    return WeylElement(data, (i,), _simple_q_matrix(data, i), _simple_y_matrix(data, i))
+    return WeylElement(data, (i,), _right_q(data, _identity(data.n), i),
+                       _right_y(data, _identity(data.rank), i))
 
 
 def simple_reflect(data: KacMoodyData, i: int, v) -> tuple:
@@ -116,30 +107,26 @@ def _product_matrices(data: KacMoodyData, word) -> tuple[IntMat, IntMat]:
     q = _identity(data.n)
     y = _identity(data.rank)
     for i in word:
-        q = _mat_mul(q, _simple_q_matrix(data, i))
-        y = _mat_mul(y, _simple_y_matrix(data, i))
+        q = _right_q(data, q, i)
+        y = _right_y(data, y, i)
     return q, y
 
 
 def length_and_reduce(data: KacMoodyData, word) -> tuple[int, tuple[int, ...]]:
     """Exact length and a reduced word via the descent criterion:
-    l(w r_i) < l(w) iff w.alpha_i is a negative root."""
+    l(w r_i) < l(w) iff w.alpha_i is a negative root.  The reduced word is
+    the normal form: peel the smallest right descent until none is left."""
     word = tuple(int(i) for i in word)
     for i in word:
         if not 0 <= i < data.n:
             raise ValueError(f"index {i} out of range")
-    q, _ = _product_matrices(data, word)
+    q = _identity(data.n)
+    for i in word:
+        q = _right_q(data, q, i)
     rev: list[int] = []
-    ident = _identity(data.n)
-    while q != ident:
-        for i in range(data.n):
-            image = _mat_vec(q, simple_root_vector(data.n, i).coeffs)
-            if all(x <= 0 for x in image):
-                break
-        else:  # pragma: no cover - impossible for a genuine group element
-            raise RuntimeError("no descent found")
+    while (i := _first_descent(q)) is not None:
         rev.append(i)
-        q = _mat_mul(q, _simple_q_matrix(data, i))
+        q = _right_q(data, q, i)
     reduced = tuple(reversed(rev))
     return len(reduced), reduced
 
@@ -225,8 +212,8 @@ def enumerate_real_roots(data: KacMoodyData, bound: int) -> RootSet:
         rr = simple_real_root(data, i)
         found[rr.root.coeffs] = rr
         queue.append(rr)
-    y_mats = [_simple_y_matrix(data, i) for i in range(data.n)]
-    q_mats = [_simple_q_matrix(data, i) for i in range(data.n)]
+    q_mats = [_right_q(data, _identity(data.n), i) for i in range(data.n)]
+    y_mats = [_right_y(data, _identity(data.rank), i) for i in range(data.n)]
     head = 0
     while head < len(queue):
         cur = queue[head]
@@ -271,18 +258,32 @@ def brute_inversion_set(data: KacMoodyData, w: WeylElement, bound: int) -> set[t
 
 
 def all_elements_up_to_length(data: KacMoodyData, max_len: int) -> list[WeylElement]:
-    """All group elements of length <= max_len, BFS by length."""
-    seen = {identity_element(data).y_mat}
+    """All group elements of length <= max_len, BFS by length.
+
+    Layer l+1 is every w r_i with w in layer l and w.alpha_i positive
+    (so l(w r_i) = l(w) + 1), first occurrence kept.  Its normal form is
+    read off layer l: with d the smallest right descent of v = w r_i, the
+    word is w.word + (i,) if d == i, else the word of v r_d, which has
+    length l, followed by d.
+    """
     layer = [identity_element(data)]
-    out = [identity_element(data)]
+    out = list(layer)
     for _ in range(max_len):
+        prev = {w.y_mat: w.word for w in layer}
+        seen: set[IntMat] = set()
         nxt = []
         for w in layer:
             for i in range(data.n):
-                cand = w * simple_reflection(data, i)
-                if cand.length() == w.length() + 1 and cand.y_mat not in seen:
-                    seen.add(cand.y_mat)
-                    nxt.append(cand)
-                    out.append(cand)
+                if not all(row[i] >= 0 for row in w.q_mat):
+                    continue
+                y = _right_y(data, w.y_mat, i)
+                if y in seen:
+                    continue
+                seen.add(y)
+                q = _right_q(data, w.q_mat, i)
+                d = _first_descent(q)
+                word = w.word + (i,) if d == i else prev[_right_y(data, y, d)] + (d,)
+                nxt.append(WeylElement(data, word, q, y))
+        out += nxt
         layer = nxt
     return out

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from masure.cli import GM_MAX_N, main
+from masure.kmdata import affine_sl2_data
+from masure.weyl import weyl_element
 
 
 def run(capsys, *argv):
@@ -55,6 +57,13 @@ class TestTree:
         code, out, _ = run(capsys, "tree", "act", "--field", "F2(t)",
                            "--g", '[["1","t^-3"],["0","1"]]', "--p", "(1; 0)")
         assert code == 0 and out.strip() == "(1; t^-3)"
+
+    @pytest.mark.parametrize("g", ["5", '[["1"]]', "[[1,0],[0,1]]", '[["1","0"],["0"]]',
+                                   '[["1","0"],["0","1"],["1","0"]]', '[["x","0"],["0","1"]]',
+                                   "nope"])
+    def test_act_malformed_matrix(self, capsys, g):
+        assert_usage_error(*run(capsys, "tree", "act", "--field", "F2(t)",
+                                "--g", g, "--p", "(1; 0)"))
 
     def test_retract_segment_json(self, capsys):
         code, out, _ = run(capsys, "tree", "retract", "--field", "F2(t)",
@@ -131,6 +140,42 @@ class TestAlgebraCommands:
         code, out, err = run(capsys, argv[0], "--data", '{"matrix": [[2,-1],[-1,2]]}', *argv[1:])
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "expected 2" in err
+
+    MALFORMED_DATA = [
+        "5", "[1]", "x", "{}", '{"matrix": 5}', '{"matrix": []}', '{"matrix": [1, 2]}',
+        '{"matrix": [[2,-1.5],[-1,2]]}', '{"matrix": [[2,true],[0,2]]}',
+        '{"matrix": [[2,-1],[-1,2]], "realization": 5}',
+        '{"matrix": [[2,-1],[-1,2]], "realization": {"rank": 2}}',
+        '{"matrix": [[2,-1],[-1,2]], "realization": {"rank": [2], "simple_roots": [[2,-1],[-1,2]],'
+        ' "simple_coroots": [[1,0],[0,1]]}}',
+        '{"matrix": [[2,-1],[-1,2]], "realization": {"rank": 2, "simple_roots": 7,'
+        ' "simple_coroots": [[1,0],[0,1]]}}',
+    ]
+    DATA_COMMANDS = [
+        ("roots", "--max-height", "2"),
+        ("weyl", "--word", "0,1"),
+        ("cone", "--vector", "1,0"),
+        ("prenilpotent", "--alpha", "1,0", "--beta", "0,1"),
+        ("hecke", "verify", "--path", '{"breakpoints": [0, 1], "positions": [[0, 0], [1, 0]]}',
+         "--shape", "1,0"),
+    ]
+
+    @pytest.mark.parametrize("data", MALFORMED_DATA)
+    @pytest.mark.parametrize("argv", DATA_COMMANDS, ids=lambda a: a[0])
+    def test_malformed_data(self, capsys, argv, data):
+        head = 2 if argv[0] == "hecke" else 1
+        assert_usage_error(*run(capsys, *argv[:head], "--data", data, *argv[head:]))
+
+    def test_data_with_realization(self, capsys):
+        real = ('{"matrix": [[2,-2],[-2,2]], "realization": {"rank": 3, '
+                '"simple_roots": [[-2,0,1],[2,0,0]], "simple_coroots": [[-1,1,0],[1,0,0]]}}')
+        code, out, _ = run(capsys, "weyl", "--data", real, "--word", "0,1", "--json")
+        expected = weyl_element(affine_sl2_data(), (0, 1)).y_mat
+        assert code == 0 and json.loads(out)["action_on_y"] == [list(r) for r in expected]
+
+    def test_prenilpotent_negative_bound(self, capsys):
+        assert_usage_error(*run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-1],[-1,2]]}',
+                                "--alpha", "1,0", "--beta", "0,1", "--bound", "-1"))
 
     def test_prenilpotent(self, capsys):
         code, out, _ = run(capsys, "prenilpotent", "--data",

@@ -2,12 +2,18 @@
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from masure.kmdata import (
     RootVector,
     affine_sl2_data,
+    finite_a1_data,
     finite_a2_data,
+    minimal_realization,
     rank2_data,
     simple_root_vector,
+    validate,
 )
 from masure.weyl import (
     all_elements_up_to_length,
@@ -177,3 +183,105 @@ def test_group_elements_counts():
     els = all_elements_up_to_length(AFF, 8)
     assert len(els) == 17
     assert sorted(w.length() for w in els) == sorted([0] + [l for l in range(1, 9) for _ in range(2)])
+
+
+# ---------------------------------------------------------------------------
+# The incremental kernel against the from-scratch algorithm it replaced:
+# full matrix products of regenerated simple matrices, the normal form by
+# peeling the smallest right descent, and a BFS that rebuilds every
+# candidate from its word.
+
+KERNEL_DATA = {
+    "A1": finite_a1_data(),
+    "A2": A2,
+    "affine_sl2": AFF,
+    "rank2_1_5": R15,
+    "affine_A2": minimal_realization(validate([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])),
+    "hyperbolic": minimal_realization(validate([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])),
+    "rank3_nonsym": minimal_realization(validate([[2, -1, 0], [-2, 2, -3], [0, -1, 2]])),
+}
+
+
+def _ref_mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def _ref_simple_q(data, i):
+    n = data.n
+    return tuple(tuple((1 if j == k else 0) - (data.matrix[i, j] if k == i else 0)
+                       for j in range(n)) for k in range(n))
+
+
+def _ref_simple_y(data, i):
+    r = data.rank
+    root, coroot = data.simple_roots[i], data.simple_coroots[i]
+    return tuple(tuple((1 if row == k else 0) - root[k] * coroot[row] for k in range(r))
+                 for row in range(r))
+
+
+def _ref_product(data, word):
+    q = tuple(tuple(int(i == j) for j in range(data.n)) for i in range(data.n))
+    y = tuple(tuple(int(i == j) for j in range(data.rank)) for i in range(data.rank))
+    for i in word:
+        q = _ref_mat_mul(q, _ref_simple_q(data, i))
+        y = _ref_mat_mul(y, _ref_simple_y(data, i))
+    return q, y
+
+
+def _ref_element(data, word):
+    """(word, q_mat, y_mat) of the normal form of ``word``."""
+    q, _ = _ref_product(data, word)
+    rev = []
+    while True:
+        descents = [i for i in range(data.n) if all(row[i] <= 0 for row in q)]
+        if not descents:
+            break
+        rev.append(descents[0])
+        q = _ref_mat_mul(q, _ref_simple_q(data, descents[0]))
+    reduced = tuple(reversed(rev))
+    return (reduced, *_ref_product(data, reduced))
+
+
+def _ref_bfs(data, max_len):
+    seen = {_ref_element(data, ())[2]}
+    layer = [_ref_element(data, ())]
+    out = list(layer)
+    for _ in range(max_len):
+        nxt = []
+        for w in layer:
+            for i in range(data.n):
+                cand = _ref_element(data, w[0] + (i,))
+                if len(cand[0]) == len(w[0]) + 1 and cand[2] not in seen:
+                    seen.add(cand[2])
+                    nxt.append(cand)
+        out += nxt
+        layer = nxt
+    return out
+
+
+@st.composite
+def _datum_and_word(draw):
+    name = draw(st.sampled_from(sorted(KERNEL_DATA)))
+    n = KERNEL_DATA[name].n
+    return name, tuple(draw(st.lists(st.integers(0, n - 1), max_size=14)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_datum_and_word())
+def test_weyl_element_matches_from_scratch(case):
+    name, word = case
+    data = KERNEL_DATA[name]
+    w = weyl_element(data, word)
+    assert (w.word, w.q_mat, w.y_mat) == _ref_element(data, word)
+    assert length_and_reduce(data, word) == (len(w.word), w.word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_DATA)), st.data())
+def test_all_elements_match_from_scratch_bfs(name, draw):
+    data = KERNEL_DATA[name]
+    max_len = draw.draw(st.integers(0, 8 if data.n <= 2 else 6), label="max_len")
+    got = [(w.word, w.q_mat, w.y_mat) for w in all_elements_up_to_length(data, max_len)]
+    assert got == _ref_bfs(data, max_len)
