@@ -217,7 +217,10 @@ def _cmd_cone(args) -> int:
     return 0
 
 
-def _find_root(data: kmdata.KacMoodyData, coords) -> weyl.RealRoot:
+def _find_root(data: kmdata.KacMoodyData, text: str) -> weyl.RealRoot:
+    coords = _vec_arg(text, data.n)
+    if any(x.denominator != 1 for x in coords):
+        raise UsageError(f"{text!r}: root coordinates must be integers")
     v = kmdata.RootVector(tuple(int(x) for x in coords))
     target = v if v.is_positive() else -v
     rs = weyl.enumerate_real_roots(data, max(abs(v.height()), 1))
@@ -231,8 +234,8 @@ def _cmd_prenilpotent(args) -> int:
     if args.bound < 0:
         raise UsageError(f"--bound must be >= 0, got {args.bound}")
     data = _data_arg(args.data)
-    alpha = _find_root(data, _vec_arg(args.alpha, data.n))
-    beta = _find_root(data, _vec_arg(args.beta, data.n))
+    alpha = _find_root(data, args.alpha)
+    beta = _find_root(data, args.beta)
     v = cone.prenilpotent_pair(data, alpha, beta, args.bound)
     if isinstance(v, cone.Prenilpotent):
         interval = cone.closed_interval(data, alpha, beta, args.bound)

@@ -4,8 +4,15 @@ prenilpotent pairs and closed root intervals.
 Membership certificates are exact.  Greedy normalization handles every
 vector of the cone; outside it, type-specific witnesses decide for finite
 type (vacuous), untwisted affine type (the delta criterion) and rank-2
-indefinite type (sign tests against the eigenlines of r_1 r_2, done in
-the quadratic extension without radicals).  Other types report Unknown.
+indefinite type.  Other types report Unknown.
+
+For A = [[2,-a],[-b,2]] with ab >= 5 the W-invariant form on Y has
+signature (1,1).  In the chamber coordinates p_i = alpha_i(v) it reads
+(v|v) = 2(a p_0^2 + ab p_0 p_1 + b p_1^2) / (4 - ab).  The Tits cone lies
+in the timelike nappe that holds the fundamental chamber; the spacelike
+vectors form the open cone Gamma that holds alpha_0^vee together with
+-Gamma.  Both rank-2 tests below read only A and the pairings, so they
+give the same verdict in every realization.
 """
 
 from __future__ import annotations
@@ -88,7 +95,12 @@ def normalize_to_dominant(data: KacMoodyData, v, cap: int | None = None) -> Cert
         cap = default_cap(vv)
     if cap < 1:
         raise ConeError("cap must be >= 1")
-    cur = vv
+    return _greedy(data, vv, cap) or _refute(data, vv, cap)
+
+
+def _greedy(data: KacMoodyData, v: tuple, cap: int) -> InCone | None:
+    """The greedy run on v; None when it is not dominant after cap reflections."""
+    cur = v
     word: list[int] = []
     for step in range(cap + 1):
         i = _neg_index(data, cur)
@@ -96,7 +108,15 @@ def normalize_to_dominant(data: KacMoodyData, v, cap: int | None = None) -> Cert
             return InCone(weyl_element(data, tuple(word)), cur, step)
         cur = simple_reflect(data, i, cur)
         word.insert(0, i)
-    return _refute(data, vv, cap)
+    return None
+
+
+def _rank2_spacelike(data: KacMoodyData, v) -> bool:
+    """(v|v) > 0 for indefinite [[2,-a],[-b,2]]: since 4 - ab < 0, iff
+    a p_0^2 + ab p_0 p_1 + b p_1^2 < 0 with p_i = alpha_i(v)."""
+    a, b = -data.matrix[0, 1], -data.matrix[1, 0]
+    p0, p1 = (data.pair(root, v) for root in data.simple_roots)
+    return a * p0 * p0 + a * b * p0 * p1 + b * p1 * p1 < 0
 
 
 def _refute(data: KacMoodyData, v, cap: int) -> Certificate:
@@ -110,22 +130,13 @@ def _refute(data: KacMoodyData, v, cap: int) -> Certificate:
             return NotInCone("delta(v) = 0 but v is not inessential", dv)
         return Unknown(cap)
     if kind == KMClass.INDEFINITE and data.n == 2 and data.rank == 2:
-        geo = rank2_geometry(data)
-        if geo.strictly_in_gamma(v):
+        if _rank2_spacelike(data, v):
             return NotInCone("v lies strictly inside an open cone between the eigenlines",
                              "gamma")
-        # v on the (T u -T) side: decide -v in T by the greedy procedure
-        cur = tuple(-Fraction(x) for x in v)
-        word: list[int] = []
-        for _ in range(cap + 1):
-            i = _neg_index(data, cur)
-            if i is None:
-                if any(x != 0 for x in v):
-                    return NotInCone("-v lies in the Tits cone and v != 0",
-                                     weyl_element(data, tuple(word)))
-                return Unknown(cap)
-            cur = simple_reflect(data, i, cur)
-            word.insert(0, i)
+        # v is timelike or zero: decide -v in T by the greedy procedure
+        opposite = _greedy(data, tuple(-x for x in v), cap)
+        if opposite is not None and any(x != 0 for x in v):
+            return NotInCone("-v lies in the Tits cone and v != 0", opposite.w)
         return Unknown(cap)
     return Unknown(cap)
 
@@ -168,118 +179,6 @@ def is_spherical(data: KacMoodyData, subset) -> bool:
         if classify(sub.submatrix(comp)) != KMClass.FINITE:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# exact arithmetic in Q[sqrt(D)] for the rank-2 indefinite geometry
-
-@dataclass(frozen=True)
-class QuadNum:
-    """u + w*sqrt(disc) with rational u, w and fixed positive non-square disc."""
-
-    u: Fraction
-    w: Fraction
-    disc: int
-
-    def __add__(self, o: "QuadNum") -> "QuadNum":
-        return QuadNum(self.u + o.u, self.w + o.w, self.disc)
-
-    def __sub__(self, o: "QuadNum") -> "QuadNum":
-        return QuadNum(self.u - o.u, self.w - o.w, self.disc)
-
-    def __mul__(self, o: "QuadNum") -> "QuadNum":
-        return QuadNum(self.u * o.u + self.w * o.w * self.disc,
-                       self.u * o.w + self.w * o.u, self.disc)
-
-    def inverse(self) -> "QuadNum":
-        n = self.u * self.u - self.w * self.w * self.disc
-        if n == 0:
-            raise ZeroDivisionError("non-invertible quadratic number")
-        return QuadNum(self.u / n, -self.w / n, self.disc)
-
-    def sign(self) -> int:
-        u, w = self.u, self.w
-        if w == 0:
-            return 0 if u == 0 else (1 if u > 0 else -1)
-        if u == 0:
-            return 1 if w > 0 else -1
-        if u > 0 and w > 0:
-            return 1
-        if u < 0 and w < 0:
-            return -1
-        cmp = u * u - w * w * self.disc  # sign of |u| - |w|sqrt(D)
-        if cmp == 0:
-            return 0
-        # u and w have opposite signs here
-        if u > 0:
-            return 1 if cmp > 0 else -1
-        return -1 if cmp > 0 else 1
-
-
-def _qn(disc: int, u, w=0) -> QuadNum:
-    return QuadNum(Fraction(u), Fraction(w), disc)
-
-
-@dataclass(frozen=True)
-class Rank2Geometry:
-    """Eigenline data of r_1 r_2 for an indefinite 2x2 matrix in its minimal
-    rank-2 realization.  gamma_rays bound the open cone Gamma containing
-    the first simple coroot; the opposite cone is -Gamma."""
-
-    disc: int
-    gamma_rays: tuple[tuple[QuadNum, QuadNum], tuple[QuadNum, QuadNum]]
-
-    def _solve(self, target) -> tuple[QuadNum, QuadNum]:
-        (r1x, r1y), (r2x, r2y) = self.gamma_rays
-        det = r1x * r2y - r1y * r2x
-        tx = _qn(self.disc, target[0])
-        ty = _qn(self.disc, target[1])
-        s = (tx * r2y - ty * r2x) * det.inverse()
-        t = (r1x * ty - r1y * tx) * det.inverse()
-        return s, t
-
-    def strictly_in_gamma(self, v) -> bool:
-        """v in the open cone Gamma or in -Gamma."""
-        s, t = self._solve(tuple(Fraction(x) for x in v))
-        return (s.sign() > 0 and t.sign() > 0) or (s.sign() < 0 and t.sign() < 0)
-
-    def nonneg_on_gamma(self, covector, opposite: bool) -> bool:
-        """covector >= 0 on the closure of Gamma (or of -Gamma)."""
-        flip = -1 if opposite else 1
-        for rx, ry in self.gamma_rays:
-            val = _qn(self.disc, covector[0]) * rx + _qn(self.disc, covector[1]) * ry
-            if flip * val.sign() < 0:
-                return False
-        return True
-
-
-def rank2_geometry(data: KacMoodyData) -> Rank2Geometry:
-    if data.n != 2 or data.rank != 2:
-        raise ConeError("rank-2 geometry needs the minimal 2x2 realization")
-    a = data.matrix[0, 1] * -1
-    b = data.matrix[1, 0] * -1
-    ab = a * b
-    if ab <= 4:
-        raise ConeError("rank-2 geometry is for the indefinite case ab >= 5")
-    disc = ab * (ab - 4)
-    tau = Fraction(ab - 2)
-    # r_1 r_2 on Y in the basis of coroots: [[ab-1, -b],[a, -1]] acting on
-    # coordinates; an eigenvector for eigenvalue lam is (b, ab-1-lam).
-    lam_plus = (_qn(disc, tau / 2, Fraction(1, 2)))
-    lam_minus = (_qn(disc, tau / 2, Fraction(-1, 2)))
-    v_plus = (_qn(disc, b), _qn(disc, ab - 1) - lam_plus)
-    v_minus = (_qn(disc, b), _qn(disc, ab - 1) - lam_minus)
-    rays = [v_plus, v_minus, tuple(_qn(disc, 0) - c for c in v_plus),
-            tuple(_qn(disc, 0) - c for c in v_minus)]
-    # locate the quadrant containing e_1 = first coroot among adjacent pairs
-    e1 = (Fraction(1), Fraction(0))
-    pairs = [(rays[0], rays[1]), (rays[1], rays[2]), (rays[2], rays[3]), (rays[3], rays[0])]
-    for r1, r2 in pairs:
-        geo = Rank2Geometry(disc, (tuple(r1), tuple(r2)))
-        s, t = geo._solve(e1)
-        if s.sign() > 0 and t.sign() > 0:
-            return geo
-    raise ConeError("first coroot not located between the eigenlines")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +264,9 @@ def prenilpotent_pair(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
 
     Finite type: prenilpotent iff alpha != -beta.  Untwisted affine:
     iff the finite parts are not opposite.  Rank-2 indefinite: iff both
-    roots are nonnegative on a common cone between the eigenlines.
+    roots are nonnegative on the closure of Gamma or both on that of -Gamma.
+    A real coroot is spacelike, and alpha >= 0 on the closure of Gamma iff
+    alpha^vee lies in Gamma, that is iff alpha(alpha_0^vee) > 0.
     """
     kind = classify(data.matrix)
     if kind == KMClass.FINITE:
@@ -381,12 +282,10 @@ def prenilpotent_pair(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
             return _witnesses_or_raise(data, alpha, beta, bound)
         return search_prenilpotent(data, alpha, beta, bound)
     if kind == KMClass.INDEFINITE and data.n == 2 and data.rank == 2:
-        geo = rank2_geometry(data)
-        ca = data.root_covector(alpha.root)
-        cb = data.root_covector(beta.root)
-        for opposite in (False, True):
-            if geo.nonneg_on_gamma(ca, opposite) and geo.nonneg_on_gamma(cb, opposite):
-                return _witnesses_or_raise(data, alpha, beta, bound)
+        sa, sb = (sum(c * data.matrix[0, j] for j, c in enumerate(r.root.coeffs))
+                  for r in (alpha, beta))
+        if sa * sb > 0:
+            return _witnesses_or_raise(data, alpha, beta, bound)
         return NotPrenilpotent("no cone between the eigenlines is shared")
     return search_prenilpotent(data, alpha, beta, bound)
 

@@ -122,7 +122,7 @@ def _orbit_witness(data: KacMoodyData, lam: Vec, target: Vec, cap: int,
 
 
 def is_billiard(data: KacMoodyData, path: PiecewisePath, shape,
-                height_bound: int = 9, word_bound: int = 6) -> BilliardReport:
+                word_bound: int = 6) -> BilliardReport:
     lam = _vec(shape)
     if all(x == 0 for x in lam):
         raise HeckeError("shape must be nonzero")
@@ -330,7 +330,7 @@ def verify_path(data: KacMoodyData, path: PiecewisePath, shape,
                 chamber: FaceDescriptor, height_bound: int = 9,
                 word_bound: int = 6, max_reflections: int = 3) -> HeckeReport:
     """Full verification: billiard property, a chain per fold, dominance."""
-    bil = is_billiard(data, path, shape, height_bound, word_bound)
+    bil = is_billiard(data, path, shape, word_bound)
     folds = []
     for k in path.fold_times():
         w = verify_fold(data, path.positions[k], path.velocity(k - 1),

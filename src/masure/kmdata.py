@@ -311,12 +311,3 @@ def data_to_json(data: KacMoodyData) -> str:
             "simple_coroots": [list(r) for r in data.simple_coroots],
         },
     })
-
-
-def data_from_json(text: str) -> KacMoodyData:
-    obj = json.loads(text)
-    matrix = obj["matrix"]
-    if "realization" in obj and obj["realization"]:
-        real = obj["realization"]
-        return validate_data(matrix, real["rank"], real["simple_roots"], real["simple_coroots"])
-    return minimal_realization(validate(matrix))

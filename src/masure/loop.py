@@ -258,15 +258,6 @@ class SeriesRing:
             return c % self.p
         return c if type(c) is Fraction else Fraction(c)
 
-    def inv(self, c):
-        if self.kind == GF:
-            if c % self.p == 0:
-                raise ZeroDivisionError("non-unit constant term")
-            return pow(c, self.p - 2, self.p)
-        if c == 0:
-            raise ZeroDivisionError("non-unit constant term")
-        return 1 / Fraction(c)
-
     def lift(self, coeffs) -> tuple[tuple[int, ...], int]:
         """Integer numerators over one common denominator: coeffs[k] is
         nums[k] / den.  Over F_p the coefficients are their own numerators

@@ -71,9 +71,6 @@ class TreePoint:
     def config(self) -> FieldConfig:
         return self.tail.config
 
-    def is_in_standard_apartment(self) -> bool:
-        return self.tail.is_zero()
-
     def branch_point(self) -> int | None:
         """-val(tail): where this point's apartment leaves A (None on A)."""
         if self.tail.is_zero():

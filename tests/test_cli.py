@@ -185,6 +185,20 @@ class TestAlgebraCommands:
         assert obj["verdict"] == "prenilpotent"
         assert obj["closed_interval"] == [[0, 1], [1, 0], [1, 1]]
 
+    def test_prenilpotent_any_realization(self, capsys):
+        # the same root datum in another basis of Y gives the same answer
+        real = ('{"matrix": [[2,-1],[-5,2]], "realization": {"rank": 2, '
+                '"simple_roots": [[2,-7],[-1,3]], "simple_coroots": [[1,0],[1,1]]}}')
+        argv = ("--alpha", "1,0", "--beta", "1,1")
+        minimal = run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-1],[-5,2]]}', *argv)
+        assert json.loads(minimal[1])["verdict"] == "prenilpotent"
+        assert run(capsys, "prenilpotent", "--data", real, *argv) == minimal
+
+    @pytest.mark.parametrize("alpha", ["3/2,0", "1.5,0", "1,1/2"])
+    def test_prenilpotent_fractional_root(self, capsys, alpha):
+        assert_usage_error(*run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-1],[-1,2]]}',
+                                "--alpha", alpha, "--beta", "0,1"))
+
     def test_gm(self, capsys):
         code, out, _ = run(capsys, "gm", "--n", "2")
         assert code == 0 and out.strip() == "1/2*Z2 + 1/2*Z1^2"

@@ -2,10 +2,14 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from masure import cone
 from masure.cone import (
     FaceDescriptor,
     InCone,
@@ -14,12 +18,12 @@ from masure.cone import (
     NotPrenilpotent,
     PairNotPrenilpotent,
     Prenilpotent,
+    Unknown,
     closed_interval,
     face_of,
     is_spherical,
     normalize_to_dominant,
     prenilpotent_pair,
-    rank2_geometry,
     search_prenilpotent,
 )
 from masure.kmdata import (
@@ -28,13 +32,139 @@ from masure.kmdata import (
     delta_coefficients,
     finite_a2_data,
     rank2_data,
+    validate_data,
 )
-from masure.weyl import enumerate_real_roots, simple_real_root
+from masure.weyl import enumerate_real_roots, simple_real_root, simple_reflect, weyl_element
 
 AFF = affine_sl2_data()
 A2 = finite_a2_data()
 R15 = rank2_data(1, 5)
 R33 = rank2_data(3, 3)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the rank-2 indefinite geometry in Q[sqrt(D)], exact sign
+# tests against the eigenlines of r_0 r_1.  It reads Y coordinates as coroot
+# coordinates, so it holds for the minimal realization only.
+
+@dataclass(frozen=True)
+class QuadNum:
+    """u + w*sqrt(disc) with rational u, w and fixed positive non-square disc."""
+
+    u: Fraction
+    w: Fraction
+    disc: int
+
+    def __add__(self, o):
+        return QuadNum(self.u + o.u, self.w + o.w, self.disc)
+
+    def __sub__(self, o):
+        return QuadNum(self.u - o.u, self.w - o.w, self.disc)
+
+    def __mul__(self, o):
+        return QuadNum(self.u * o.u + self.w * o.w * self.disc,
+                       self.u * o.w + self.w * o.u, self.disc)
+
+    def inverse(self):
+        n = self.u * self.u - self.w * self.w * self.disc
+        return QuadNum(self.u / n, -self.w / n, self.disc)
+
+    def sign(self) -> int:
+        u, w = self.u, self.w
+        if w == 0:
+            return 0 if u == 0 else (1 if u > 0 else -1)
+        if u == 0:
+            return 1 if w > 0 else -1
+        if u > 0 and w > 0:
+            return 1
+        if u < 0 and w < 0:
+            return -1
+        cmp = u * u - w * w * self.disc  # sign of |u| - |w|sqrt(D)
+        if cmp == 0:
+            return 0
+        if u > 0:
+            return 1 if cmp > 0 else -1
+        return -1 if cmp > 0 else 1
+
+
+def _qn(disc: int, u, w=0) -> QuadNum:
+    return QuadNum(Fraction(u), Fraction(w), disc)
+
+
+@dataclass(frozen=True)
+class OracleGeometry:
+    """gamma_rays bound the open cone Gamma containing the first simple
+    coroot; the opposite cone is -Gamma."""
+
+    disc: int
+    gamma_rays: tuple
+
+    def _solve(self, target):
+        (r1x, r1y), (r2x, r2y) = self.gamma_rays
+        det = r1x * r2y - r1y * r2x
+        tx = _qn(self.disc, target[0])
+        ty = _qn(self.disc, target[1])
+        s = (tx * r2y - ty * r2x) * det.inverse()
+        t = (r1x * ty - r1y * tx) * det.inverse()
+        return s, t
+
+    def strictly_in_gamma(self, v) -> bool:
+        s, t = self._solve(tuple(Fraction(x) for x in v))
+        return (s.sign() > 0 and t.sign() > 0) or (s.sign() < 0 and t.sign() < 0)
+
+    def nonneg_on_gamma(self, covector, opposite: bool) -> bool:
+        flip = -1 if opposite else 1
+        for rx, ry in self.gamma_rays:
+            val = _qn(self.disc, covector[0]) * rx + _qn(self.disc, covector[1]) * ry
+            if flip * val.sign() < 0:
+                return False
+        return True
+
+
+def oracle_geometry(data) -> OracleGeometry:
+    a, b = -data.matrix[0, 1], -data.matrix[1, 0]
+    ab = a * b
+    disc = ab * (ab - 4)
+    tau = Fraction(ab - 2)
+    # r_0 r_1 on Y in the basis of coroots: [[ab-1, -b],[a, -1]]; an
+    # eigenvector for the eigenvalue lam is (b, ab-1-lam)
+    lam_plus = _qn(disc, tau / 2, Fraction(1, 2))
+    lam_minus = _qn(disc, tau / 2, Fraction(-1, 2))
+    v_plus = (_qn(disc, b), _qn(disc, ab - 1) - lam_plus)
+    v_minus = (_qn(disc, b), _qn(disc, ab - 1) - lam_minus)
+    rays = [v_plus, v_minus, tuple(_qn(disc, 0) - c for c in v_plus),
+            tuple(_qn(disc, 0) - c for c in v_minus)]
+    for r1, r2 in zip(rays, rays[1:] + rays[:1]):
+        geo = OracleGeometry(disc, (r1, r2))
+        s, t = geo._solve((1, 0))
+        if s.sign() > 0 and t.sign() > 0:
+            return geo
+    raise AssertionError("first coroot not located between the eigenlines")
+
+
+def oracle_refute(data, v, cap: int):
+    """The rank-2 indefinite branch of the refutation, on the oracle."""
+    if oracle_geometry(data).strictly_in_gamma(v):
+        return NotInCone("v lies strictly inside an open cone between the eigenlines", "gamma")
+    cur = tuple(-Fraction(x) for x in v)
+    word: list[int] = []
+    for _ in range(cap + 1):
+        i = next((i for i in range(2) if data.pair(data.simple_roots[i], cur) < 0), None)
+        if i is None:
+            if any(x != 0 for x in v):
+                return NotInCone("-v lies in the Tits cone and v != 0",
+                                 weyl_element(data, tuple(word)))
+            return Unknown(cap)
+        cur = simple_reflect(data, i, cur)
+        word.insert(0, i)
+    return Unknown(cap)
+
+
+def oracle_prenilpotent(data, alpha, beta) -> bool:
+    geo = oracle_geometry(data)
+    ca, cb = data.root_covector(alpha.root), data.root_covector(beta.root)
+    return any(geo.nonneg_on_gamma(ca, opp) and geo.nonneg_on_gamma(cb, opp)
+               for opp in (False, True))
 
 
 def _delta_value(data, v):
@@ -83,7 +213,7 @@ class TestNormalize:
                 assert all(AFF.pair(AFF.simple_roots[i], v) == 0 for i in range(2))
 
     def test_rank2_gamma_side_samples(self):
-        geo = rank2_geometry(R15)
+        geo = oracle_geometry(R15)
         rng = random.Random(4)
         count = 0
         for _ in range(300):
@@ -100,8 +230,6 @@ class TestNormalize:
         # dominant vectors normalize immediately; their Weyl translates too
         cert = normalize_to_dominant(R15, (-20, -9))
         assert isinstance(cert, InCone)
-        from masure.weyl import weyl_element
-
         w = weyl_element(R15, (0, 1, 0))
         moved = w.act_y((-20, -9))
         cert2 = normalize_to_dominant(R15, moved)
@@ -110,7 +238,7 @@ class TestNormalize:
 
     def test_eigenline_boundary_symmetry(self):
         # the refutation region is symmetric under v -> -v
-        geo = rank2_geometry(R33)
+        geo = oracle_geometry(R33)
         rng = random.Random(5)
         for _ in range(100):
             v = (Fraction(rng.randint(-7, 7)), Fraction(rng.randint(-7, 7)))
@@ -228,3 +356,72 @@ class TestClosedInterval:
         coords = enumerate_real_roots(A2, 3).coords_set()
         for r in closed_interval(A2, a, b):
             assert r.coeffs in coords
+
+
+# ---------------------------------------------------------------------------
+# the rational rank-2 tests against the oracle, and across realizations
+
+HYPERBOLIC_AB = [(a, b) for a in range(1, 7) for b in range(1, 7) if a * b >= 5]
+RANK2 = {ab: rank2_data(*ab) for ab in HYPERBOLIC_AB}
+
+
+def _signed_roots(data):
+    return [s for r in enumerate_real_roots(data, 9).roots for s in (r, r.negate())]
+
+
+SIGNED_ROOTS = {ab: _signed_roots(data) for ab, data in RANK2.items()}
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(HYPERBOLIC_AB), st.tuples(rationals, rationals))
+def test_refute_matches_oracle(ab, v):
+    data = RANK2[ab]
+    assert cone._refute(data, v, 30) == oracle_refute(data, v, 30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(HYPERBOLIC_AB), st.data())
+def test_prenilpotent_matches_oracle(ab, draw):
+    data, roots = RANK2[ab], SIGNED_ROOTS[ab]
+    x, y = draw.draw(st.sampled_from(roots)), draw.draw(st.sampled_from(roots))
+    verdict = prenilpotent_pair(data, x, y)
+    assert isinstance(verdict, Prenilpotent) == oracle_prenilpotent(data, x, y)
+
+
+def _rebased(data, m):
+    """The same root datum in the basis of Y changed by the unimodular m:
+    coroots become m.c and roots become r.m^-1."""
+    (p, q), (r, s) = m
+    det = p * s - q * r
+    inv = ((det * s, -det * q), (-det * r, det * p))
+    coroots = [tuple(sum(m[i][k] * c[k] for k in range(2)) for i in range(2))
+               for c in data.simple_coroots]
+    roots = [tuple(sum(root[k] * inv[k][j] for k in range(2)) for j in range(2))
+             for root in data.simple_roots]
+    return validate_data(data.matrix, 2, roots, coroots)
+
+
+unimodular = st.builds(
+    lambda k, l, swap: ((l, 1 + k * l), (1, k)) if swap else ((1 + k * l, k), (l, 1)),
+    st.integers(-3, 3), st.integers(-3, 3), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(HYPERBOLIC_AB), unimodular,
+       st.tuples(st.integers(-12, 12), st.integers(-12, 12)), st.data())
+def test_rank2_verdicts_do_not_depend_on_the_realization(ab, m, v, draw):
+    data = RANK2[ab]
+    other = _rebased(data, m)
+    mv = tuple(sum(m[i][k] * v[k] for k in range(2)) for i in range(2))
+    got, want = normalize_to_dominant(other, mv), normalize_to_dominant(data, v)
+    assert type(got) is type(want)
+    if isinstance(want, InCone):
+        assert (got.w.word, got.steps) == (want.w.word, want.steps)
+    if isinstance(want, NotInCone):
+        assert got.reason == want.reason
+    mine, theirs = SIGNED_ROOTS[ab], _signed_roots(other)
+    assert [r.root for r in theirs] == [r.root for r in mine]
+    i, j = (draw.draw(st.integers(0, len(mine) - 1)) for _ in range(2))
+    assert (type(prenilpotent_pair(other, theirs[i], theirs[j]))
+            is type(prenilpotent_pair(data, mine[i], mine[j])))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from masure.cli import _data_arg
 from masure.kmdata import (
     Decomposable,
     KacMoodyData,
@@ -12,7 +13,6 @@ from masure.kmdata import (
     RootVector,
     affine_sl2_data,
     classify,
-    data_from_json,
     data_to_json,
     decompose,
     delta_coefficients,
@@ -162,11 +162,11 @@ class TestHeight:
 def test_json_roundtrip():
     for data in (affine_sl2_data(), rank2_data(1, 5), minimal_realization(validate([[2]]))):
         text = data_to_json(data)
-        back = data_from_json(text)
+        back = _data_arg(text)
         assert back == data
         assert data_to_json(back) == text
 
 
 def test_json_matrix_only():
-    d = data_from_json('{"matrix": [[2,-1],[-1,2]]}')
+    d = _data_arg('{"matrix": [[2,-1],[-1,2]]}')
     assert d.rank == 2
