@@ -410,8 +410,3 @@ ALL_CHECKS = [
     check_uma_roundtrips,
     check_prenilpotency_crosscheck,
 ]
-
-
-def run_all(seed: int = DEFAULT_SEED, numbers: list[int] | None = None) -> list[CheckResult]:
-    """Run the criteria numbered in ``numbers`` (all when None), in order."""
-    return [fn(seed) for k, fn in enumerate(ALL_CHECKS, 1) if numbers is None or k in numbers]

@@ -3,16 +3,19 @@ prenilpotent pairs and closed root intervals.
 
 Membership certificates are exact.  Greedy normalization handles every
 vector of the cone; outside it, type-specific witnesses decide for finite
-type (vacuous), untwisted affine type (the delta criterion) and rank-2
-indefinite type.  Other types report Unknown.
+type (vacuous), untwisted affine type (the delta criterion), rank-2
+indefinite type and, for n >= 3, data whose W-invariant form is Lorentzian
+(``kmdata.lorentzian_form``: symmetrizable hyperbolic type).  Other vectors
+and types report Unknown.
 
-For A = [[2,-a],[-b,2]] with ab >= 5 the W-invariant form on Y has
-signature (1,1).  In the chamber coordinates p_i = alpha_i(v) it reads
-(v|v) = 2(a p_0^2 + ab p_0 p_1 + b p_1^2) / (4 - ab).  The Tits cone lies
-in the timelike nappe that holds the fundamental chamber; the spacelike
+Where the form exists, write (v|v) = p^T M p in the chamber coordinates
+p_i = alpha_i(v).  The Tits cone lies in the closed nappe of {(v|v) <= 0}
+that holds the fundamental chamber, on which (v|rho^vee) = p^T M 1 <= 0.
+For A = [[2,-a],[-b,2]] with ab >= 5 the form is a positive multiple of
+(a p_0^2 + ab p_0 p_1 + b p_1^2) / (4 - ab); the spacelike
 vectors form the open cone Gamma that holds alpha_0^vee together with
--Gamma.  Both rank-2 tests below read only A and the pairings, so they
-give the same verdict in every realization.
+-Gamma.  These tests read only A and the pairings, so they give the same
+verdict in every realization.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .kmdata import (
     classify,
     decompose,
     delta_coefficients,
+    lorentzian_form,
 )
 from .weyl import (
     RealRoot,
@@ -87,14 +91,27 @@ def _neg_index(data: KacMoodyData, v) -> int | None:
 def normalize_to_dominant(data: KacMoodyData, v, cap: int | None = None) -> Certificate:
     """Greedily reflect at the smallest negative simple root until dominant.
 
-    Inside the Tits cone the procedure terminates; outside it, the affine
-    and rank-2 indefinite closed forms provide a checkable refutation.
+    Inside the Tits cone the procedure terminates.  For n >= 3 with a
+    Lorentzian W-invariant form, a spacelike v, or a v in the past nappe,
+    is refuted before any reflection, with the form value as witness.
+    Otherwise, when the cap runs out, the affine and rank-2 indefinite
+    closed forms provide a checkable refutation, and other vectors get
+    Unknown.
     """
     vv = tuple(Fraction(x) for x in v)
     if cap is None:
         cap = default_cap(vv)
     if cap < 1:
         raise ConeError("cap must be >= 1")
+    form = lorentzian_form(data.matrix) if data.n >= 3 else None
+    if form is not None:
+        p = _chamber_coords(data, vv)
+        norm = _form_value(form, p, p)
+        if norm > 0:
+            return NotInCone("v is spacelike: (v|v) > 0", norm)
+        nappe = _form_value(form, p, (1,) * data.n)
+        if nappe > 0:
+            return NotInCone("v lies in the past nappe: (v|rho^vee) > 0", nappe)
     return _greedy(data, vv, cap) or _refute(data, vv, cap)
 
 
@@ -111,12 +128,13 @@ def _greedy(data: KacMoodyData, v: tuple, cap: int) -> InCone | None:
     return None
 
 
-def _rank2_spacelike(data: KacMoodyData, v) -> bool:
-    """(v|v) > 0 for indefinite [[2,-a],[-b,2]]: since 4 - ab < 0, iff
-    a p_0^2 + ab p_0 p_1 + b p_1^2 < 0 with p_i = alpha_i(v)."""
-    a, b = -data.matrix[0, 1], -data.matrix[1, 0]
-    p0, p1 = (data.pair(root, v) for root in data.simple_roots)
-    return a * p0 * p0 + a * b * p0 * p1 + b * p1 * p1 < 0
+def _chamber_coords(data: KacMoodyData, v) -> tuple[Fraction, ...]:
+    return tuple(data.pair(root, v) for root in data.simple_roots)
+
+
+def _form_value(form, p, q) -> Fraction:
+    """p^T form q."""
+    return sum((x * c * y for x, row in zip(p, form) for c, y in zip(row, q)), start=Fraction(0))
 
 
 def _refute(data: KacMoodyData, v, cap: int) -> Certificate:
@@ -130,7 +148,9 @@ def _refute(data: KacMoodyData, v, cap: int) -> Certificate:
             return NotInCone("delta(v) = 0 but v is not inessential", dv)
         return Unknown(cap)
     if kind == KMClass.INDEFINITE and data.n == 2 and data.rank == 2:
-        if _rank2_spacelike(data, v):
+        # [[2,-a],[-b,2]] with ab >= 5 always has a Lorentzian form
+        p = _chamber_coords(data, v)
+        if _form_value(lorentzian_form(data.matrix), p, p) > 0:
             return NotInCone("v lies strictly inside an open cone between the eigenlines",
                              "gamma")
         # v is timelike or zero: decide -v in T by the greedy procedure

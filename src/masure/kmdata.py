@@ -298,6 +298,79 @@ def delta_coefficients(data: KacMoodyData) -> tuple[int, ...] | None:
     return tuple(x // g for x in ints)
 
 
+def _symmetrizer(a: KacMoodyMatrix) -> list[Fraction] | None:
+    """Positive d with a[i][j] / d[i] symmetric, or None if A is not
+    symmetrizable; d is 1 at the first index of each block."""
+    n = a.n
+    d: list[Fraction | None] = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j == i or a[i, j] == 0:
+                    continue
+                dj = d[i] * a[j, i] / a[i, j]
+                if d[j] is None:
+                    d[j] = dj
+                    stack.append(j)
+                elif d[j] != dj:
+                    return None
+    return d
+
+
+def _inertia(m) -> tuple[int, int]:
+    """(positive, negative) index of inertia of a symmetric rational matrix,
+    by diagonalizing it with congruences (Sylvester's law of inertia)."""
+    m = [list(row) for row in m]
+    pos = neg = 0
+    while m:
+        size = len(m)
+        k = next((k for k in range(size) if m[k][k] != 0), None)
+        if k is None:
+            k, j = next(((k, j) for k in range(size) for j in range(size) if m[k][j] != 0),
+                        (None, None))
+            if k is None:
+                break
+            # add row and column j to k; the diagonal entry becomes 2 m[k][j]
+            m[k] = [x + y for x, y in zip(m[k], m[j])]
+            for row in m:
+                row[k] += row[j]
+        piv = m[k][k]
+        pos, neg = pos + (piv > 0), neg + (piv < 0)
+        m = [[m[i][j] - m[i][k] * m[k][j] / piv for j in range(size) if j != k]
+             for i in range(size) if i != k]
+    return pos, neg
+
+
+def lorentzian_form(a: KacMoodyMatrix) -> tuple[tuple[Fraction, ...], ...] | None:
+    """The W-invariant form in the chamber coordinates p_i = alpha_i(v),
+    when it confines the Tits cone to one closed nappe; else None.
+
+    Write A = D B with D positive diagonal and B symmetric.  A simple
+    reflection acts by p_j -> p_j - p_i a[i][j], and p^T B^-1 p is invariant.
+    The matrix M = B^-1 is returned when it exists, has no positive entry
+    and has inertia (n-1, 1), as for symmetrizable hyperbolic A (Kac,
+    Infinite-dimensional Lie algebras, ch. 5).  Then the form is <= 0 on the
+    fundamental chamber, so the Tits cone lies in {p^T M p <= 0, p^T M 1 <= 0}.
+    """
+    d = _symmetrizer(a)
+    if d is None:
+        return None
+    n = a.n
+    m, pivots = rref([[a[i, j] / d[i] for j in range(n)] + [int(i == j) for j in range(n)]
+                      for i in range(n)])
+    if pivots != list(range(n)):
+        return None
+    form = tuple(tuple(row[n:]) for row in m)
+    if any(x > 0 for row in form for x in row) or _inertia(form) != (n - 1, 1):
+        return None
+    return form
+
+
 # ---------------------------------------------------------------------------
 # JSON schema:  {"matrix": [[...]], "realization": {"rank": r,
 #                "simple_roots": [...], "simple_coroots": [...]}}

@@ -231,6 +231,41 @@ def enumerate_real_roots(data: KacMoodyData, bound: int) -> RootSet:
     return RootSet(data, bound, tuple(ordered))
 
 
+def find_real_root(data: KacMoodyData, v: RootVector) -> RealRoot | None:
+    """v as a real root with its coroot and a witness, or None if v is not
+    a real root.
+
+    Descent: while the height exceeds 1, reflect at some i with
+    <v, alpha_i^vee> > 0, which lowers the height.  A positive real root
+    other than alpha_i stays positive under r_i, and one of height > 1 has
+    such an i, so v is a real root iff this reaches a simple root alpha_j
+    with no negative coordinate on the way (Kac, section 5.1).  O(height n^2)
+    time; the witness word may differ from the one enumerate_real_roots
+    finds, the root and coroot do not.
+    """
+    if v.is_negative():
+        found = find_real_root(data, -v)
+        return None if found is None else found.negate()
+    a = data.matrix.entries
+    cur = list(v.coeffs)
+    word: list[int] = []
+    while sum(cur) > 1 and all(x >= 0 for x in cur):
+        pairings = (sum(c * x for c, x in zip(row, cur)) for row in a)
+        i, c = next(((i, c) for i, c in enumerate(pairings) if c > 0), (None, 0))
+        if i is None:
+            return None
+        cur[i] -= c
+        word.append(i)
+    if sorted(cur) != [0] * (data.n - 1) + [1]:
+        return None
+    j = cur.index(1)
+    coroot = data.simple_coroots[j]
+    for i in reversed(word):
+        t = sum(x * y for x, y in zip(data.simple_roots[i], coroot))
+        coroot = tuple(x - t * y for x, y in zip(coroot, data.simple_coroots[i]))
+    return RealRoot(v, coroot, tuple(word), j)
+
+
 def inversion_set(data: KacMoodyData, w: WeylElement) -> list[RealRoot]:
     """Inv(w) from a reduced word; size equals l(w)."""
     word = w.word

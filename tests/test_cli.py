@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from masure.cli import GM_MAX_N, main
+from masure.cli import BALL_MAX_VERTICES, GM_MAX_N, _ball_size, main
+from masure.fields import parse_field
+from masure import tree
 from masure.kmdata import affine_sl2_data
 from masure.weyl import weyl_element
 
@@ -77,6 +79,33 @@ class TestTree:
     def test_ball_negative_radius(self, capsys):
         assert_usage_error(*run(capsys, "tree", "ball", "--field", "F2(t)", "--radius", "-1"))
 
+    @pytest.mark.parametrize("field, radius", [("F2(t)", "40"), ("F2(t)", "13"),
+                                               ("F3(t)", "9"), ("Q3", "1000000000")])
+    def test_ball_over_budget(self, capsys, field, radius):
+        code, out, err = run(capsys, "tree", "ball", "--field", field, "--radius", radius)
+        assert_usage_error(code, out, err)
+        assert str(BALL_MAX_VERTICES) in err
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 79])
+    def test_ball_size_is_the_vertex_count(self, q):
+        for radius in range(-1, 16):
+            count = 1 + sum((q + 1) * q ** (k - 1) for k in range(1, radius + 1))
+            got = _ball_size(q, radius)
+            assert got == count if count <= BALL_MAX_VERTICES else got > BALL_MAX_VERTICES
+
+    @pytest.mark.parametrize("field, radius", [("F2(t)", 0), ("F2(t)", 4), ("Q3", 3), ("F5(t)", 2)])
+    def test_ball_edges(self, capsys, field, radius):
+        code, out, _ = run(capsys, "tree", "ball", "--field", field, "--radius", str(radius),
+                           "--format", "json")
+        obj = json.loads(out)
+        cfg = parse_field(field)
+        verts = [tree.parse_point(cfg, v) for v in obj["vertices"]]
+        index = {v: i for i, v in enumerate(verts)}
+        edges = sorted((index[v], index[w]) for v in verts for w in tree.neighbors(v)
+                       if w in index and index[v] < index[w])
+        assert code == 0 and obj["edges"] == [list(e) for e in edges]
+        assert len(verts) == _ball_size(cfg.p, radius) == len(edges) + 1
+
     def test_ball_dot(self, capsys):
         code, out, _ = run(capsys, "tree", "ball", "--field", "F2(t)",
                            "--radius", "1", "--format", "dot")
@@ -130,6 +159,33 @@ class TestAlgebraCommands:
         code, out, _ = run(capsys, "cone", "--data", '{"matrix": [[2,-1],[-5,2]]}',
                            "--vector", "1,0")
         assert json.loads(out)["status"] == "not_in_cone"
+
+    HYPERBOLIC = '{"matrix": [[2,-2,0],[-2,2,-1],[0,-1,2]]}'
+
+    @pytest.mark.parametrize("vector, reason", [
+        ("1,0,0", "v is spacelike: (v|v) > 0"),
+        ("1,1,1", "v lies in the past nappe: (v|rho^vee) > 0"),
+    ])
+    def test_cone_hyperbolic_refuted(self, capsys, vector, reason):
+        code, out, _ = run(capsys, "cone", "--data", self.HYPERBOLIC, "--vector", vector)
+        assert code == 0 and json.loads(out) == {"status": "not_in_cone", "reason": reason}
+
+    def test_cone_hyperbolic_in_cone(self, capsys):
+        code, out, _ = run(capsys, "cone", "--data", self.HYPERBOLIC, "--vector=-1,-1,-1")
+        assert code == 0
+        assert out == ('{"image": ["-1", "-1", "0"], "status": "in_cone", "steps": 1, '
+                       '"word": [2]}\n')
+
+    def test_cone_non_symmetrizable_unknown(self, capsys):
+        code, out, _ = run(capsys, "cone", "--data",
+                           '{"matrix": [[2,-2,-1],[-1,2,-1],[-1,-1,2]]}', "--vector", "1,0,0")
+        assert code == 0 and json.loads(out) == {"status": "unknown", "steps": 50}
+
+    @pytest.mark.parametrize("argv", [("cone", "--vector", "1,0", "--cap", "0"),
+                                      ("roots", "--max-height", "0")])
+    def test_budget_below_one(self, capsys, argv):
+        assert_usage_error(*run(capsys, argv[0], "--data", '{"matrix": [[2,-1],[-1,2]]}',
+                                *argv[1:]))
 
     @pytest.mark.parametrize("argv", [
         ("cone", "--vector", "1"),
@@ -193,6 +249,19 @@ class TestAlgebraCommands:
         minimal = run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-1],[-5,2]]}', *argv)
         assert json.loads(minimal[1])["verdict"] == "prenilpotent"
         assert run(capsys, "prenilpotent", "--data", real, *argv) == minimal
+
+    def test_prenilpotent_high_root(self, capsys):
+        # the root is found by descent, without enumerating 20000 roots
+        code, out, _ = run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-2],[-2,2]]}',
+                           "--alpha", "10000,10001", "--beta", "1,0")
+        assert code == 0
+        assert json.loads(out) == {"verdict": "not_prenilpotent", "reason": "opposite finite parts"}
+
+    @pytest.mark.parametrize("alpha", ["2,0", "1,-1", "0,0", "3,1"])
+    def test_prenilpotent_not_a_root(self, capsys, alpha):
+        code, out, err = run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-2],[-2,2]]}',
+                             "--alpha", alpha, "--beta", "1,0")
+        assert code == 1 and out == "" and err.strip().endswith("is not a real root")
 
     @pytest.mark.parametrize("alpha", ["3/2,0", "1.5,0", "1,1/2"])
     def test_prenilpotent_fractional_root(self, capsys, alpha):
@@ -338,6 +407,16 @@ class TestSelftest:
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith("PASS")]
         assert [int(l.split()[1]) for l in lines] == [1, 2, 10]
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--criteria", "1,2,10", "--json")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [r["number"] for r in rows] == [1, 2, 10]
+        assert all(set(r) == {"number", "name", "ok", "detail", "seconds"} for r in rows)
+        text_code, text, _ = run(capsys, "selftest", "--criteria", "1,2,10")
+        marks = [line.split()[0] for line in text.splitlines()[:3]]
+        assert [r["ok"] for r in rows] == [m == "PASS" for m in marks]
+        assert code == text_code
 
     @pytest.mark.parametrize("criteria", ["13", "1,0", "x"])
     def test_unknown_criteria(self, capsys, criteria):

@@ -1,6 +1,7 @@
 """Tits cone certificates, faces, sphericity, prenilpotency, intervals."""
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -8,6 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kmdata import SYMMETRIZABLE_HYPERBOLIC, _det
+
+try:
+    import sympy
+except ImportError:  # pragma: no cover - sympy is a test-only extra
+    sympy = None
 
 from masure import cone
 from masure.cone import (
@@ -31,7 +38,9 @@ from masure.kmdata import (
     affine_sl2_data,
     delta_coefficients,
     finite_a2_data,
+    minimal_realization,
     rank2_data,
+    validate,
     validate_data,
 )
 from masure.weyl import enumerate_real_roots, simple_real_root, simple_reflect, weyl_element
@@ -389,17 +398,22 @@ def test_prenilpotent_matches_oracle(ab, draw):
     assert isinstance(verdict, Prenilpotent) == oracle_prenilpotent(data, x, y)
 
 
+def _adjugate(m):
+    n = len(m)
+    return [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
 def _rebased(data, m):
     """The same root datum in the basis of Y changed by the unimodular m:
     coroots become m.c and roots become r.m^-1."""
-    (p, q), (r, s) = m
-    det = p * s - q * r
-    inv = ((det * s, -det * q), (-det * r, det * p))
-    coroots = [tuple(sum(m[i][k] * c[k] for k in range(2)) for i in range(2))
+    n = len(m)
+    inv = [[_det(m) * x for x in row] for row in _adjugate(m)]
+    coroots = [tuple(sum(m[i][k] * c[k] for k in range(n)) for i in range(n))
                for c in data.simple_coroots]
-    roots = [tuple(sum(root[k] * inv[k][j] for k in range(2)) for j in range(2))
+    roots = [tuple(sum(root[k] * inv[k][j] for k in range(n)) for j in range(n))
              for root in data.simple_roots]
-    return validate_data(data.matrix, 2, roots, coroots)
+    return validate_data(data.matrix, n, roots, coroots)
 
 
 unimodular = st.builds(
@@ -425,3 +439,107 @@ def test_rank2_verdicts_do_not_depend_on_the_realization(ab, m, v, draw):
     i, j = (draw.draw(st.integers(0, len(mine) - 1)) for _ in range(2))
     assert (type(prenilpotent_pair(other, theirs[i], theirs[j]))
             is type(prenilpotent_pair(data, mine[i], mine[j])))
+
+
+# ---------------------------------------------------------------------------
+# the Lorentzian form certificates of symmetrizable hyperbolic data
+
+POOL_HYPERBOLIC = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
+HYP = minimal_realization(validate(POOL_HYPERBOLIC))
+SPACELIKE = "v is spacelike: (v|v) > 0"
+PAST_NAPPE = "v lies in the past nappe: (v|rho^vee) > 0"
+hyperbolic_matrices = st.one_of(st.just(POOL_HYPERBOLIC), st.sampled_from(SYMMETRIZABLE_HYPERBOLIC))
+
+
+def _dominant_point(m, p):
+    """An integer x in Y of the minimal realization with alpha_j(x) =
+    |det A| p_j; the roots are the columns of the invertible A."""
+    det = _det(m)
+    adj = _adjugate([list(col) for col in zip(*m)])
+    return tuple(sum(adj[k][j] * p[j] for j in range(len(m))) * (1 if det > 0 else -1)
+                 for k in range(len(m)))
+
+
+def test_lightlike_face_point_in_cone():
+    x = _dominant_point(POOL_HYPERBOLIC, (0, 0, 1))
+    assert x == (-2, -2, 0)
+    cert = normalize_to_dominant(HYP, x)
+    assert isinstance(cert, InCone) and cert.steps == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(hyperbolic_matrices, st.data())
+def test_tits_cone_points_are_never_refuted(m, draw):
+    n = len(m)
+    data = minimal_realization(validate(m))
+    p = draw.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    word = draw.draw(st.lists(st.integers(0, n - 1), max_size=8))
+    v = _dominant_point(m, p)
+    for i in reversed(word):
+        v = simple_reflect(data, i, v)
+    assert not isinstance(normalize_to_dominant(data, v), NotInCone)
+
+
+def _sympy_form(m):
+    """B^-1 = A^-1 D for A = D B, with d_0 = 1 and d the kernel of the
+    equations d_i a_ji = d_j a_ij."""
+    n = len(m)
+    rows = []
+    for i, j in itertools.combinations(range(n), 2):
+        row = [0] * n
+        row[i], row[j] = m[j][i], -m[i][j]
+        rows.append(row)
+    (d,) = sympy.Matrix(rows).nullspace()
+    d = d / d[0]
+    return sympy.Matrix(m).inv() * sympy.diag(*d)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=120, deadline=None)
+@given(hyperbolic_matrices, st.data())
+def test_form_certificates_recheck(m, draw):
+    n = len(m)
+    data = minimal_realization(validate(m))
+    v = tuple(draw.draw(st.lists(rationals, min_size=n, max_size=n)))
+    cert = normalize_to_dominant(data, v)
+    if not isinstance(cert, NotInCone):
+        return
+    p = [data.pair(root, v) for root in data.simple_roots]
+    form = _sympy_form(m)
+    col = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in p])
+    other = col if cert.reason == SPACELIKE else sympy.ones(n, 1)
+    assert cert.reason in (SPACELIKE, PAST_NAPPE)
+    value = (col.T * form * other)[0, 0]
+    assert value > 0 and cert.witness == Fraction(int(value.p), int(value.q))
+    # a greedy run in chamber coordinates, at ten times the cap, never ends
+    scale = math.lcm(*(x.denominator for x in p))
+    q = [int(x * scale) for x in p]
+    for _ in range(10 * cone.default_cap(v)):
+        i = next((i for i in range(n) if q[i] < 0), None)
+        assert i is not None
+        q = [q[j] - q[i] * m[i][j] for j in range(n)]
+
+
+def test_form_certificates_on_the_pool_datum():
+    assert normalize_to_dominant(HYP, (1, 0, 0)) == NotInCone(SPACELIKE, 2)
+    assert normalize_to_dominant(HYP, (1, 1, 1)) == NotInCone(PAST_NAPPE, 3)
+
+
+elementary = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(elementary, max_size=5), st.tuples(*[rationals] * 3))
+def test_hyperbolic_verdicts_do_not_depend_on_the_realization(ops, v):
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for i, j, k in ops:
+        if i != j:
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    other = _rebased(HYP, m)
+    mv = tuple(sum(m[i][k] * v[k] for k in range(3)) for i in range(3))
+    got, want = normalize_to_dominant(other, mv), normalize_to_dominant(HYP, v)
+    assert type(got) is type(want)
+    if isinstance(want, InCone):
+        assert (got.w.word, got.steps) == (want.w.word, want.steps)
+    if isinstance(want, NotInCone):
+        assert (got.reason, got.witness) == (want.reason, want.witness)

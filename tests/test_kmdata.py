@@ -1,8 +1,11 @@
 """Generalized Cartan matrices: axioms, blocks, trichotomy, realizations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masure.cli import _data_arg
 from masure.kmdata import (
@@ -16,6 +19,7 @@ from masure.kmdata import (
     data_to_json,
     decompose,
     delta_coefficients,
+    lorentzian_form,
     minimal_realization,
     rank2_data,
     validate,
@@ -170,3 +174,154 @@ def test_json_roundtrip():
 def test_json_matrix_only():
     d = _data_arg('{"matrix": [[2,-1],[-1,2]]}')
     assert d.rank == 2
+
+
+# ---------------------------------------------------------------------------
+# Kac's principal-minor criterion (Infinite-dimensional Lie algebras, 4.3 and
+# 4.7), hyperbolic type (4.10) and symmetrizability (exercise 2.1), computed
+# here from integer determinants, independently of classify and linalg.
+
+def _det(m) -> int:
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _principal(m, idx):
+    return [[m[i][j] for j in idx] for i in idx]
+
+
+def kac_class(m) -> str:
+    """For indecomposable m: finite iff every principal minor is positive,
+    affine iff det m = 0 and every proper one is positive."""
+    n = len(m)
+    proper = [_det(_principal(m, idx)) for k in range(1, n)
+              for idx in itertools.combinations(range(n), k)]
+    if all(x > 0 for x in proper):
+        full = _det(m)
+        if full > 0:
+            return "finite"
+        if full == 0:
+            return "affine"
+    return "indefinite"
+
+
+def is_hyperbolic(m) -> bool:
+    """Indecomposable and indefinite, and every block of every proper
+    principal submatrix is finite or affine."""
+    n = len(m)
+    if len(decompose(validate(m))) != 1 or kac_class(m) != "indefinite":
+        return False
+    for i in range(n):
+        sub = _principal(m, [j for j in range(n) if j != i])
+        if any(kac_class(_principal(sub, block)) == "indefinite"
+               for block in decompose(validate(sub))):
+            return False
+    return True
+
+
+def is_symmetrizable(m) -> bool:
+    """a[i1][i2] a[i2][i3] ... a[ik][i1] equals the product around the
+    reversed cycle, for every cycle of distinct indices."""
+    n = len(m)
+    for k in range(3, n + 1):
+        for cyc in itertools.permutations(range(n), k):
+            hops = list(zip(cyc, cyc[1:] + cyc[:1]))
+            fwd, back = 1, 1
+            for i, j in hops:
+                fwd, back = fwd * m[i][j], back * m[j][i]
+            if fwd != back:
+                return False
+    return True
+
+
+def gcms(n: int, lowest: int = -3):
+    """Every n x n GCM with off-diagonal entries >= lowest."""
+    pairs = list(itertools.combinations(range(n), 2))
+    values = [(0, 0)] + list(itertools.product(range(lowest, 0), repeat=2))
+    for choice in itertools.product(values, repeat=len(pairs)):
+        m = [[2] * n for _ in range(n)]
+        for (i, j), (x, y) in zip(pairs, choice):
+            m[i][j], m[j][i] = x, y
+        yield m
+
+
+GCMS_3 = [m for m in gcms(3) if len(decompose(validate(m))) == 1]
+HYPERBOLIC_3 = [m for m in GCMS_3 if is_hyperbolic(m)]
+
+
+def _hyperbolic_4() -> list:
+    """The hyperbolic 4 x 4 GCMs with entries >= -3: every 3 x 3 principal
+    submatrix has only finite and affine blocks, so extend those."""
+    tame = [m for m in gcms(3)
+            if all(kac_class(_principal(m, b)) != "indefinite" for b in decompose(validate(m)))]
+    keys = {tuple(map(tuple, m)) for m in tame}
+    values = [(0, 0)] + list(itertools.product(range(-3, 0), repeat=2))
+    out = []
+    for top in tame:
+        for col in itertools.product(values, repeat=3):
+            m = [row + [c] for row, (c, _) in zip(top, col)] + [[r for _, r in col] + [2]]
+            if all(tuple(map(tuple, _principal(m, [j for j in range(4) if j != i]))) in keys
+                   for i in range(3)) and is_hyperbolic(m):
+                out.append(m)
+    return out
+
+
+HYPERBOLIC_4 = _hyperbolic_4()
+SYMMETRIZABLE_HYPERBOLIC = [m for m in HYPERBOLIC_3 + HYPERBOLIC_4 if is_symmetrizable(m)]
+
+
+def test_classify_matches_principal_minors():
+    assert len(GCMS_3) == 972
+    for m in GCMS_3:
+        assert classify(validate(m)).value == kac_class(m), m
+
+
+def test_form_premise_is_symmetrizable_hyperbolic():
+    holds = [m for m in GCMS_3 if lorentzian_form(validate(m)) is not None]
+    assert holds == [m for m in HYPERBOLIC_3 if is_symmetrizable(m)]
+    assert len(holds) == 100
+
+
+def test_hyperbolic_4_sample():
+    assert len(HYPERBOLIC_4) == 915
+    assert sum(map(is_symmetrizable, HYPERBOLIC_4)) == 645
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SYMMETRIZABLE_HYPERBOLIC), st.data())
+def test_form_is_reflection_invariant(m, draw):
+    n = len(m)
+    form = lorentzian_form(validate(m))
+    assert form is not None
+    p = draw.draw(st.lists(st.fractions(-20, 20, max_denominator=6), min_size=n, max_size=n))
+
+    def value(q):
+        return sum(form[i][j] * q[i] * q[j] for i in range(n) for j in range(n))
+
+    for i in range(n):
+        reflected = [p[j] - p[i] * m[i][j] for j in range(n)]
+        assert value(reflected) == value(p)
+
+
+@pytest.mark.parametrize("m", [
+    [[2]],
+    [[2, -1], [-1, 2]],
+    [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    [[2, -2], [-2, 2]],
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    [[2, -4], [-1, 2]],
+    [[2, -2, 0, 0], [-2, 2, -1, 0], [0, -1, 2, 0], [0, 0, 0, 2]],
+    [[2, -3, 0, 0], [-3, 2, 0, 0], [0, 0, 2, -3], [0, 0, -3, 2]],
+    [[2, -2, -1], [-1, 2, -1], [-1, -1, 2]],
+], ids=["A1", "A2", "B3", "affine A1", "affine A2", "affine A2 twisted",
+        "hyperbolic + A1", "two hyperbolic blocks", "non-symmetrizable hyperbolic"])
+def test_no_form_off_symmetrizable_hyperbolic(m):
+    assert lorentzian_form(validate(m)) is None
+
+
+def test_form_of_the_pool_datum():
+    form = lorentzian_form(validate([[2, -2, 0], [-2, 2, -1], [0, -1, 2]]))
+    f = Fraction
+    assert form == ((f(-3, 2), -2, -1), (-2, -2, -1), (-1, -1, 0))

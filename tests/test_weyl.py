@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from masure.weyl import (
     all_elements_up_to_length,
     brute_inversion_set,
     enumerate_real_roots,
+    find_real_root,
     inversion_set,
     length_and_reduce,
     reflect_vector,
@@ -285,3 +287,34 @@ def test_all_elements_match_from_scratch_bfs(name, draw):
     max_len = draw.draw(st.integers(0, 8 if data.n <= 2 else 6), label="max_len")
     got = [(w.word, w.q_mat, w.y_mat) for w in all_elements_up_to_length(data, max_len)]
     assert got == _ref_bfs(data, max_len)
+
+
+# ---------------------------------------------------------------------------
+# roots by descent against the enumeration
+
+POOL = ("A2", "affine_sl2", "rank2_1_5", "affine_A2", "hyperbolic")
+SIGNED_ROOTS = {name: {s.root.coeffs: s for r in enumerate_real_roots(KERNEL_DATA[name], 36).roots
+                       for s in (r, r.negate())}
+                for name in POOL}
+
+
+@pytest.mark.parametrize("name", POOL)
+def test_find_real_root_matches_enumeration(name):
+    data = KERNEL_DATA[name]
+    for want in SIGNED_ROOTS[name].values():
+        if abs(want.height()) > 30:
+            continue
+        got = find_real_root(data, want.root)
+        assert (got.root, got.coroot) == (want.root, want.coroot)
+        w = weyl_element(data, got.witness_word)
+        assert w.act_root(simple_root_vector(data.n, got.witness_index)) == want.root
+        assert w.act_y(data.simple_coroots[got.witness_index]) == want.coroot
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(POOL), st.data())
+def test_find_real_root_rejects_non_roots(name, draw):
+    data = KERNEL_DATA[name]
+    v = tuple(draw.draw(st.lists(st.integers(-12, 12), min_size=data.n, max_size=data.n)))
+    found = find_real_root(data, RootVector(v))
+    assert (found is not None) == (v in SIGNED_ROOTS[name])
