@@ -279,8 +279,8 @@ def _cmd_tree(args) -> int:
     if sub == "act":
         g = _mat_arg(cfg, args.g)
         p = tree.parse_point(cfg, args.p)
-        _emit({"point": tree.point_to_str(tree.act(g, p))}, args.json,
-              tree.point_to_str(tree.act(g, p)))
+        point = tree.point_to_str(tree.act(g, p))
+        _emit({"point": point}, args.json, point)
     elif sub == "dist":
         d = tree.distance(tree.parse_point(cfg, args.p), tree.parse_point(cfg, args.q))
         _emit({"distance": _frac_str(d)}, args.json, str(d))
@@ -339,8 +339,8 @@ def _cmd_tree(args) -> int:
             _emit(obj, args.format == "json",
                   f"{len(verts)} vertices, {len(edges)} edges")
     elif sub == "orbit":
-        v = tree.parse_point(cfg, args.p)
-        _emit({"orbit_class": tree.orbit_class(v)}, args.json, str(tree.orbit_class(v)))
+        orbit = tree.orbit_class(tree.parse_point(cfg, args.p))
+        _emit({"orbit_class": orbit}, args.json, str(orbit))
     elif sub == "exchange":
         try:
             a = parse_element(cfg, args.a)

@@ -3,19 +3,16 @@ prenilpotent pairs and closed root intervals.
 
 Membership certificates are exact.  Greedy normalization handles every
 vector of the cone; outside it, type-specific witnesses decide for finite
-type (vacuous), untwisted affine type (the delta criterion), rank-2
-indefinite type and, for n >= 3, data whose W-invariant form is Lorentzian
-(``kmdata.lorentzian_form``: symmetrizable hyperbolic type).  Other vectors
+type (vacuous), untwisted affine type (the delta criterion) and data whose
+W-invariant form is Lorentzian (``kmdata.lorentzian_form``: symmetrizable
+hyperbolic type, which holds every rank-2 indefinite A).  Other vectors
 and types report Unknown.
 
 Where the form exists, write (v|v) = p^T M p in the chamber coordinates
 p_i = alpha_i(v).  The Tits cone lies in the closed nappe of {(v|v) <= 0}
 that holds the fundamental chamber, on which (v|rho^vee) = p^T M 1 <= 0.
-For A = [[2,-a],[-b,2]] with ab >= 5 the form is a positive multiple of
-(a p_0^2 + ab p_0 p_1 + b p_1^2) / (4 - ab); the spacelike
-vectors form the open cone Gamma that holds alpha_0^vee together with
--Gamma.  These tests read only A and the pairings, so they give the same
-verdict in every realization.
+These tests read only A and the pairings, so they give the same verdict
+in every realization.
 """
 
 from __future__ import annotations
@@ -91,19 +88,18 @@ def _neg_index(data: KacMoodyData, v) -> int | None:
 def normalize_to_dominant(data: KacMoodyData, v, cap: int | None = None) -> Certificate:
     """Greedily reflect at the smallest negative simple root until dominant.
 
-    Inside the Tits cone the procedure terminates.  For n >= 3 with a
-    Lorentzian W-invariant form, a spacelike v, or a v in the past nappe,
-    is refuted before any reflection, with the form value as witness.
-    Otherwise, when the cap runs out, the affine and rank-2 indefinite
-    closed forms provide a checkable refutation, and other vectors get
-    Unknown.
+    Inside the Tits cone the procedure terminates.  When the W-invariant
+    form is Lorentzian, a spacelike v, or a v in the past nappe, is refuted
+    before any reflection, with the form value as witness.  Otherwise, when
+    the cap runs out, the affine delta criterion provides a checkable
+    refutation, and other vectors get Unknown.
     """
     vv = tuple(Fraction(x) for x in v)
     if cap is None:
         cap = default_cap(vv)
     if cap < 1:
         raise ConeError("cap must be >= 1")
-    form = lorentzian_form(data.matrix) if data.n >= 3 else None
+    form = lorentzian_form(data.matrix)
     if form is not None:
         p = _chamber_coords(data, vv)
         norm = _form_value(form, p, p)
@@ -138,26 +134,15 @@ def _form_value(form, p, q) -> Fraction:
 
 
 def _refute(data: KacMoodyData, v, cap: int) -> Certificate:
-    kind = classify(data.matrix)
-    if kind == KMClass.AFFINE:
-        delta = delta_coefficients(data)
-        dv = sum(Fraction(delta[i]) * data.pair(data.simple_roots[i], v) for i in range(data.n))
-        if dv < 0:
-            return NotInCone("delta(v) < 0", dv)
-        if dv == 0 and any(data.pair(data.simple_roots[i], v) != 0 for i in range(data.n)):
-            return NotInCone("delta(v) = 0 but v is not inessential", dv)
+    delta = delta_coefficients(data)
+    if delta is None:
         return Unknown(cap)
-    if kind == KMClass.INDEFINITE and data.n == 2 and data.rank == 2:
-        # [[2,-a],[-b,2]] with ab >= 5 always has a Lorentzian form
-        p = _chamber_coords(data, v)
-        if _form_value(lorentzian_form(data.matrix), p, p) > 0:
-            return NotInCone("v lies strictly inside an open cone between the eigenlines",
-                             "gamma")
-        # v is timelike or zero: decide -v in T by the greedy procedure
-        opposite = _greedy(data, tuple(-x for x in v), cap)
-        if opposite is not None and any(x != 0 for x in v):
-            return NotInCone("-v lies in the Tits cone and v != 0", opposite.w)
-        return Unknown(cap)
+    p = _chamber_coords(data, v)
+    dv = sum(c * x for c, x in zip(delta, p))
+    if dv < 0:
+        return NotInCone("delta(v) < 0", dv)
+    if dv == 0 and any(x != 0 for x in p):
+        return NotInCone("delta(v) = 0 but v is not inessential", dv)
     return Unknown(cap)
 
 
@@ -174,17 +159,12 @@ class FaceDescriptor:
 
 
 def face_of(data: KacMoodyData, v, cap: int | None = None) -> FaceDescriptor:
-    cert = normalize_to_dominant(data, v, cap)
-    if isinstance(cert, InCone):
-        j = tuple(i for i in range(data.n)
-                  if data.pair(data.simple_roots[i], cert.image) == 0)
-        return FaceDescriptor(cert.w.inverse(), j, +1)
-    neg = tuple(-Fraction(x) for x in v)
-    cert = normalize_to_dominant(data, neg, cap)
-    if isinstance(cert, InCone):
-        j = tuple(i for i in range(data.n)
-                  if data.pair(data.simple_roots[i], cert.image) == 0)
-        return FaceDescriptor(cert.w.inverse(), j, -1)
+    for u, sign in ((v, +1), (tuple(-Fraction(x) for x in v), -1)):
+        cert = normalize_to_dominant(data, u, cap)
+        if isinstance(cert, InCone):
+            j = tuple(i for i in range(data.n)
+                      if data.pair(data.simple_roots[i], cert.image) == 0)
+            return FaceDescriptor(cert.w.inverse(), j, sign)
     raise NotInTitsCone(f"no face certificate for {v}")
 
 
@@ -283,10 +263,13 @@ def prenilpotent_pair(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
     """Closed-form criterion where available, else bounded word search.
 
     Finite type: prenilpotent iff alpha != -beta.  Untwisted affine:
-    iff the finite parts are not opposite.  Rank-2 indefinite: iff both
-    roots are nonnegative on the closure of Gamma or both on that of -Gamma.
-    A real coroot is spacelike, and alpha >= 0 on the closure of Gamma iff
-    alpha^vee lies in Gamma, that is iff alpha(alpha_0^vee) > 0.
+    iff the finite parts are not opposite.  Rank-2 indefinite: the
+    spacelike vectors form an open cone Gamma that holds alpha_0^vee,
+    together with -Gamma; the pair is prenilpotent iff both roots are
+    nonnegative on the closure of Gamma or both on that of -Gamma.  A real
+    coroot is spacelike, and alpha >= 0 on the closure of Gamma iff
+    alpha^vee lies in Gamma, that is iff alpha(alpha_0^vee) > 0.  This reads
+    only A, so it holds in every realization.
     """
     kind = classify(data.matrix)
     if kind == KMClass.FINITE:
@@ -301,7 +284,7 @@ def prenilpotent_pair(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
                 return NotPrenilpotent("opposite finite parts")
             return _witnesses_or_raise(data, alpha, beta, bound)
         return search_prenilpotent(data, alpha, beta, bound)
-    if kind == KMClass.INDEFINITE and data.n == 2 and data.rank == 2:
+    if kind == KMClass.INDEFINITE and data.n == 2:
         sa, sb = (sum(c * data.matrix[0, j] for j, c in enumerate(r.root.coeffs))
                   for r in (alpha, beta))
         if sa * sb > 0:

@@ -503,11 +503,10 @@ def s_tilde(cfg: FieldConfig) -> Mat2:
 _TERM_RE = re.compile(r"^([+-]?\d+)?\s*(?:(\*)?\s*t(?:\^(-?\d+))?)?$")
 
 
-def poly_to_str(c: Poly) -> str:
-    if not c:
-        return "0"
+def _terms_to_str(terms) -> str:
+    """Join the nonzero (exponent, coefficient) terms as a sum of powers of t."""
     parts = []
-    for e, x in enumerate(c):
+    for e, x in terms:
         if not x:
             continue
         if e == 0:
@@ -517,6 +516,10 @@ def poly_to_str(c: Poly) -> str:
         else:
             parts.append(f"t^{e}" if x == 1 else f"{x}*t^{e}")
     return "+".join(parts)
+
+
+def poly_to_str(c: Poly) -> str:
+    return _terms_to_str(enumerate(c)) if c else "0"
 
 
 def parse_laurent_terms(s: str) -> dict[int, int]:

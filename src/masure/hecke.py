@@ -247,17 +247,12 @@ def check_dominance(data: KacMoodyData, path: PiecewisePath, chamber_sign: int) 
     decreasing for the fundamental chamber, increasing for its opposite;
     plus the endpoint comparison with the displacement."""
     vels = path.velocities()
-    for k in range(len(vels) - 1):
-        diff = tuple(a - b for a, b in zip(vels[k], vels[k + 1], strict=True))
-        if chamber_sign < 0:
-            diff = tuple(-x for x in diff)
+    sign = -1 if chamber_sign < 0 else 1
+    for u, w in [*zip(vels, vels[1:]), (vels[0], path.displacement())]:
+        diff = tuple(sign * (a - b) for a, b in zip(u, w, strict=True))
         if not _in_coroot_cone(data, diff):
             return False
-    diff = tuple(a - b for a, b in zip(vels[0], path.displacement(), strict=True))
-    if chamber_sign < 0:
-        diff = tuple(-x for x in diff)
-    if not _in_coroot_cone(data, diff):
-        return False
+    # diff is now the endpoint comparison
     is_segment = len(path.fold_times()) == 0
     if not is_segment and positively_free_coroots(data):
         if all(x == 0 for x in diff):

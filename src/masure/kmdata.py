@@ -356,11 +356,12 @@ def lorentzian_form(a: KacMoodyMatrix) -> tuple[tuple[Fraction, ...], ...] | Non
     and has inertia (n-1, 1), as for symmetrizable hyperbolic A (Kac,
     Infinite-dimensional Lie algebras, ch. 5).  Then the form is <= 0 on the
     fundamental chamber, so the Tits cone lies in {p^T M p <= 0, p^T M 1 <= 0}.
+    For n = 1 the form (1/2) is positive, so None is returned at once.
     """
-    d = _symmetrizer(a)
+    n = a.n
+    d = _symmetrizer(a) if n > 1 else None
     if d is None:
         return None
-    n = a.n
     m, pivots = rref([[a[i, j] / d[i] for j in range(n)] + [int(i == j) for j in range(n)]
                       for i in range(n)])
     if pivots != list(range(n)):

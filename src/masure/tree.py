@@ -24,10 +24,12 @@ from fractions import Fraction
 
 from .fields import (
     INF,
+    LAURENT,
     FieldConfig,
     FieldElement,
     Mat2,
     Tail,
+    _terms_to_str,
     s_tilde,
     t_diag,
     tail_reduce,
@@ -94,18 +96,8 @@ def point_to_str(p: TreePoint) -> str:
     """Syntax "(x; tail)" with the tail as a sum of uniformizer powers."""
     if p.tail.is_zero():
         return f"({p.x}; 0)"
-    if p.config.kind == "laurent":
-        digits = Tail(p.tail, -p.x).digits()
-        parts = []
-        for e in sorted(digits):
-            c = digits[e]
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append("t" if c == 1 else f"{c}*t")
-            else:
-                parts.append(f"t^{e}" if c == 1 else f"{c}*t^{e}")
-        body = "+".join(parts)
+    if p.config.kind == LAURENT:
+        body = _terms_to_str(sorted(Tail(p.tail, -p.x).digits().items()))
     else:
         q = p.tail.value
         body = f"{q.numerator}/{q.denominator}"

@@ -250,6 +250,24 @@ class TestAlgebraCommands:
         assert json.loads(minimal[1])["verdict"] == "prenilpotent"
         assert run(capsys, "prenilpotent", "--data", real, *argv) == minimal
 
+    RANK3_REALIZATION = ('{"matrix": [[2,-1],[-5,2]], "realization": {"rank": 3, '
+                         '"simple_roots": [[2,-5,0],[-1,2,1]], '
+                         '"simple_coroots": [[1,0,0],[0,1,0]]}}')
+
+    def test_cone_rank3_realization(self, capsys):
+        # alpha_0^vee, refuted as in the minimal realization
+        got = run(capsys, "cone", "--data", self.RANK3_REALIZATION, "--vector", "1,0,0")
+        assert got[0] == 0 and json.loads(got[1]) == {"status": "not_in_cone",
+                                                      "reason": "v is spacelike: (v|v) > 0"}
+        assert run(capsys, "cone", "--data", '{"matrix": [[2,-1],[-5,2]]}', "--vector", "1,0") == got
+
+    def test_prenilpotent_rank3_realization(self, capsys):
+        argv = ("--alpha", "1,0", "--beta=-1,-1")
+        got = run(capsys, "prenilpotent", "--data", self.RANK3_REALIZATION, *argv)
+        assert got[0] == 0 and json.loads(got[1]) == {
+            "verdict": "not_prenilpotent", "reason": "no cone between the eigenlines is shared"}
+        assert run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-1],[-5,2]]}', *argv) == got
+
     def test_prenilpotent_high_root(self, capsys):
         # the root is found by descent, without enumerating 20000 roots
         code, out, _ = run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-2],[-2,2]]}',

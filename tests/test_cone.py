@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_kmdata import SYMMETRIZABLE_HYPERBOLIC, _det
 
@@ -43,7 +43,13 @@ from masure.kmdata import (
     validate,
     validate_data,
 )
-from masure.weyl import enumerate_real_roots, simple_real_root, simple_reflect, weyl_element
+from masure.weyl import (
+    enumerate_real_roots,
+    find_real_root,
+    simple_real_root,
+    simple_reflect,
+    weyl_element,
+)
 
 AFF = affine_sl2_data()
 A2 = finite_a2_data()
@@ -167,6 +173,10 @@ def oracle_refute(data, v, cap: int):
         cur = simple_reflect(data, i, cur)
         word.insert(0, i)
     return Unknown(cap)
+
+
+EIGENLINE = "v lies strictly inside an open cone between the eigenlines"
+MINUS_V_IN_CONE = "-v lies in the Tits cone and v != 0"
 
 
 def oracle_prenilpotent(data, alpha, beta) -> bool:
@@ -385,8 +395,19 @@ rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(HYPERBOLIC_AB), st.tuples(rationals, rationals))
 def test_refute_matches_oracle(ab, v):
+    # the form refutes, before any reflection, what the eigenline test and
+    # the -v greedy run refuted after the greedy run on v
     data = RANK2[ab]
-    assert cone._refute(data, v, 30) == oracle_refute(data, v, 30)
+    got = normalize_to_dominant(data, v, 30)
+    old = cone._greedy(data, v, 30) or oracle_refute(data, v, 30)
+    if isinstance(old, InCone):
+        assert got == old
+    elif isinstance(old, Unknown):
+        assert got == old or (isinstance(got, NotInCone) and got.reason == PAST_NAPPE
+                              and got.witness > 0)
+    else:
+        want = {EIGENLINE: SPACELIKE, MINUS_V_IN_CONE: PAST_NAPPE}[old.reason]
+        assert isinstance(got, NotInCone) and got.reason == want and got.witness > 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -448,7 +469,9 @@ POOL_HYPERBOLIC = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
 HYP = minimal_realization(validate(POOL_HYPERBOLIC))
 SPACELIKE = "v is spacelike: (v|v) > 0"
 PAST_NAPPE = "v lies in the past nappe: (v|rho^vee) > 0"
-hyperbolic_matrices = st.one_of(st.just(POOL_HYPERBOLIC), st.sampled_from(SYMMETRIZABLE_HYPERBOLIC))
+RANK2_MATRICES = [[[2, -a], [-b, 2]] for a, b in HYPERBOLIC_AB]
+hyperbolic_matrices = st.one_of(st.just(POOL_HYPERBOLIC), st.sampled_from(SYMMETRIZABLE_HYPERBOLIC),
+                                st.sampled_from(RANK2_MATRICES))
 
 
 def _dominant_point(m, p):
@@ -468,15 +491,19 @@ def test_lightlike_face_point_in_cone():
 
 
 @settings(max_examples=200, deadline=None)
-@given(hyperbolic_matrices, st.data())
-def test_tits_cone_points_are_never_refuted(m, draw):
+@given(hyperbolic_matrices, st.lists(st.integers(0, 3), min_size=4, max_size=4),
+       st.lists(st.integers(0, 11), max_size=8))  # i % n is uniform for n = 2, 3, 4
+@example([[2, -1], [-5, 2]], [0, 0, 0, 0], [])  # v = 0
+@example([[2, -3], [-3, 2]], [0, 0, 0, 0], [])
+@example([[2, -1], [-5, 2]], [1, 0, 0, 0], [0, 1, 0])  # faces of w.C
+@example([[2, -6], [-1, 2]], [0, 2, 0, 0], [1, 0])
+@example([[2, -2], [-3, 2]], [3, 0, 0, 0], [])
+def test_tits_cone_points_are_never_refuted(m, p, word):
     n = len(m)
     data = minimal_realization(validate(m))
-    p = draw.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    word = draw.draw(st.lists(st.integers(0, n - 1), max_size=8))
-    v = _dominant_point(m, p)
+    v = _dominant_point(m, p[:n])
     for i in reversed(word):
-        v = simple_reflect(data, i, v)
+        v = simple_reflect(data, i % n, v)
     assert not isinstance(normalize_to_dominant(data, v), NotInCone)
 
 
@@ -528,13 +555,19 @@ def test_form_certificates_on_the_pool_datum():
 elementary = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(elementary, max_size=5), st.tuples(*[rationals] * 3))
-def test_hyperbolic_verdicts_do_not_depend_on_the_realization(ops, v):
+def _unimodular(ops):
+    """The 3x3 product of the row operations row_i += k row_j, (i, j, k) in ops."""
     m = [[int(i == j) for j in range(3)] for i in range(3)]
     for i, j, k in ops:
         if i != j:
             m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(elementary, max_size=5), st.tuples(*[rationals] * 3))
+def test_hyperbolic_verdicts_do_not_depend_on_the_realization(ops, v):
+    m = _unimodular(ops)
     other = _rebased(HYP, m)
     mv = tuple(sum(m[i][k] * v[k] for k in range(3)) for i in range(3))
     got, want = normalize_to_dominant(other, mv), normalize_to_dominant(HYP, v)
@@ -543,3 +576,41 @@ def test_hyperbolic_verdicts_do_not_depend_on_the_realization(ops, v):
         assert (got.w.word, got.steps) == (want.w.word, want.steps)
     if isinstance(want, NotInCone):
         assert (got.reason, got.witness) == (want.reason, want.witness)
+
+
+def _rank3(data, c):
+    """A rank-3 realization of the 2x2 matrix of data: coroots e_0 and e_1,
+    alpha_j = (a[0][j], a[1][j], c_j)."""
+    a = data.matrix
+    return validate_data(a, 3, [(a[0, j], a[1, j], c[j]) for j in range(2)],
+                         ((1, 0, 0), (0, 1, 0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(HYPERBOLIC_AB), st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       st.lists(elementary, max_size=4), st.tuples(rationals, rationals, rationals), st.data())
+def test_rank2_verdicts_in_a_rank3_realization(ab, c, ops, v, draw):
+    data = RANK2[ab]
+    a = data.matrix
+    # k spans the common kernel of the two roots: A^T (k_0, k_1) = -det(A) c
+    k = (a[1, 0] * c[1] - a[1, 1] * c[0], a[0, 1] * c[0] - a[0, 0] * c[1],
+         a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    x = tuple(y + v[2] * z for y, z in zip((v[0], v[1], 0), k))
+    m = _unimodular(ops)
+    other = _rebased(_rank3(data, c), m)
+    mx = tuple(sum(m[i][j] * x[j] for j in range(3)) for i in range(3))
+    got, want = normalize_to_dominant(other, mx), normalize_to_dominant(data, v[:2])
+    assert type(got) is type(want)
+    if isinstance(want, InCone):
+        assert (got.w.word, got.steps) == (want.w.word, want.steps)
+    else:
+        assert got == want
+    mine = [draw.draw(st.sampled_from(SIGNED_ROOTS[ab])) for _ in range(2)]
+    theirs = [find_real_root(other, r.root) for r in mine]
+    got, want = prenilpotent_pair(other, *theirs), prenilpotent_pair(data, *mine)
+    assert type(got) is type(want)
+    if isinstance(want, Prenilpotent):
+        assert ((got.to_positive.word, got.to_negative.word)
+                == (want.to_positive.word, want.to_negative.word))
+    else:
+        assert got == want

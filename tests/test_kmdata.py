@@ -325,3 +325,13 @@ def test_form_of_the_pool_datum():
     form = lorentzian_form(validate([[2, -2, 0], [-2, 2, -1], [0, -1, 2]]))
     f = Fraction
     assert form == ((f(-3, 2), -2, -1), (-2, -2, -1), (-1, -1, 0))
+
+
+def test_rank2_form_exists_exactly_when_ab_at_least_5():
+    # every 2x2 GCM [[2,-a],[-b,2]] with a, b <= 6; a = 0 iff b = 0
+    for a, b in itertools.product(range(7), repeat=2):
+        if (a == 0) != (b == 0):
+            continue
+        form = lorentzian_form(validate([[2, -a], [-b, 2]]))
+        assert (form is not None) == (a * b >= 5), (a, b)
+    assert lorentzian_form(validate([[2]])) is None
