@@ -2,18 +2,19 @@
 
 Subcommands: classify, roots, weyl, cone, prenilpotent, tree (act, dist,
 retract, geodesic, neighbors, ball, orbit, exchange), hecke, gm, uma,
-selftest.  Exit codes: 0 success, 1 domain error, 2 usage error.
+selftest.  Exit codes: 0 success, 1 domain error, 2 usage error (a
+malformed option value, including a field, point or element that does not
+parse).
 
 Exact values (fractions) are emitted as strings in JSON payloads so that
 printing and parsing round-trip bit-exactly.  All randomness sits behind
---seed; the environment variable MASURE_SEED overrides it.
+--seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -133,7 +134,7 @@ def _word_arg(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text or text in ("e", "-"):
         return ()
-    return tuple(int(x) for x in text.replace(" ", "").split(","))
+    return tuple(_integer(x, "--word") for x in text.replace(" ", "").split(","))
 
 
 def _mat_arg(cfg, text: str) -> Mat2:
@@ -144,10 +145,7 @@ def _mat_arg(cfg, text: str) -> Mat2:
                     and all(isinstance(e, str) for e in row) for row in rows)):
         raise UsageError('--g must be a 2x2 JSON matrix of element strings, '
                          f'e.g. [["1","t"],["0","1"]]; got {text!r}')
-    try:
-        return Mat2(*(parse_element(cfg, e) for row in rows for e in row))
-    except ParseError as exc:
-        raise UsageError(f"--g: {exc}") from None
+    return Mat2(*(parse_element(cfg, e) for row in rows for e in row))
 
 
 def _mat_out(g: Mat2) -> list[list[str]]:
@@ -292,8 +290,7 @@ def _cmd_tree(args) -> int:
             _emit(obj, args.json, f"rho+ = {obj['plus']}, rho- = {obj['minus']}")
         else:
             q = tree.parse_point(cfg, args.q)
-            center = 1 if args.center in ("+", "+inf", "plus") else -1
-            tp = tree.retract_segment(p, q, center)
+            tp = tree.retract_segment(p, q, 1 if args.center == "+" else -1)
             obj = {"breakpoints": [_frac_str(t) for t in tp.breaks],
                    "values": [_frac_str(v) for v in tp.values],
                    "speed": _frac_str(tp.speed),
@@ -342,10 +339,7 @@ def _cmd_tree(args) -> int:
         orbit = tree.orbit_class(tree.parse_point(cfg, args.p))
         _emit({"orbit_class": orbit}, args.json, str(orbit))
     elif sub == "exchange":
-        try:
-            a = parse_element(cfg, args.a)
-        except ParseError as exc:
-            raise UsageError(str(exc)) from None
+        a = parse_element(cfg, args.a)
         g2 = tree.exchange_apartment(a)
         obj = {"g": _mat_out(g2),
                "vertex": _frac_str(a.valuation()),
@@ -385,9 +379,8 @@ def _cmd_hecke(args) -> int:
     data = _data_arg(args.data)
     path = _parse_path(args.path, data.rank)
     shape = _vec_arg(args.shape, data.rank)
-    sign = 1 if args.chamber in ("+", "+1", "plus") else -1
     hb, wb, kmax = _bounds_arg(args.bounds)
-    chamber = hecke.standard_chamber(data, sign)
+    chamber = hecke.standard_chamber(data, 1 if args.chamber == "+" else -1)
     report = hecke.verify_path(data, path, shape, chamber, hb, wb, kmax)
     folds = []
     for f in report.folds:
@@ -496,9 +489,8 @@ def _cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="masure",
                                  description="exact Bruhat-Tits tree / Kac-Moody computations")
-    default_seed = int(os.environ.get("MASURE_SEED", acceptance.DEFAULT_SEED))
-    ap.add_argument("--seed", type=int, default=default_seed,
-                    help="seed for randomized checks (MASURE_SEED overrides)")
+    ap.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
+                    help="seed for randomized checks")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("classify", help="finite/affine/indefinite trichotomy")
@@ -532,8 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="Bruhat-Tits tree operations")
     tsub = p.add_subparsers(dest="tree_cmd", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", required=True, help='e.g. "F2(t)" or "Q3"')
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", required=True, help='e.g. "F2(t)" or "Q3"')
+    common = argparse.ArgumentParser(add_help=False, parents=[field])
     common.add_argument("--json", action="store_true")
     q = tsub.add_parser("act", parents=[common])
     q.add_argument("--g", required=True, help='JSON [[a,b],[c,d]] of element strings')
@@ -544,14 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
     q = tsub.add_parser("retract", parents=[common])
     q.add_argument("--p", required=True)
     q.add_argument("--q", default=None, help="retract the segment [p,q] when given")
-    q.add_argument("--center", default="-", help="+ or - (end at +oo or -oo)")
+    q.add_argument("--center", choices=("+", "-"), default="-",
+                   help="end at +oo or -oo")
     q = tsub.add_parser("geodesic", parents=[common])
     q.add_argument("--p", required=True)
     q.add_argument("--q", required=True)
     q.add_argument("--n", type=int, default=4)
     q = tsub.add_parser("neighbors", parents=[common])
     q.add_argument("--p", required=True)
-    q = tsub.add_parser("ball", parents=[common])
+    q = tsub.add_parser("ball", parents=[field])
     q.add_argument("--p", default=None, help="center vertex (default origin)")
     q.add_argument("--radius", type=int, required=True,
                    help=f"at most {BALL_MAX_VERTICES} vertices (about 1 s): 12 over F2(t), "
@@ -570,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--path", required=True,
                    help='JSON {"breakpoints": [...], "positions": [[...]]} or @file')
     q.add_argument("--shape", required=True)
-    q.add_argument("--chamber", default="-", help="+ or -")
+    q.add_argument("--chamber", choices=("+", "-"), default="-")
     q.add_argument("--bounds", default="9,6,3", help="H,L,k_max")
     p.set_defaults(fn=_cmd_hecke)
 
@@ -618,7 +612,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(_glue_signed(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, OSError, KeyError, IndexError) as exc:

@@ -33,6 +33,7 @@ from .weyl import (
     RealRoot,
     WeylElement,
     all_elements_up_to_length,
+    inversion_set,
     simple_reflect,
     weyl_element,
 )
@@ -108,7 +109,7 @@ def normalize_to_dominant(data: KacMoodyData, v, cap: int | None = None) -> Cert
         nappe = _form_value(form, p, (1,) * data.n)
         if nappe > 0:
             return NotInCone("v lies in the past nappe: (v|rho^vee) > 0", nappe)
-    return _greedy(data, vv, cap) or _refute(data, vv, cap)
+    return _greedy(data, vv, cap) or _refute(data, vv) or Unknown(cap)
 
 
 def _greedy(data: KacMoodyData, v: tuple, cap: int) -> InCone | None:
@@ -133,17 +134,18 @@ def _form_value(form, p, q) -> Fraction:
     return sum((x * c * y for x, row in zip(p, form) for c, y in zip(row, q)), start=Fraction(0))
 
 
-def _refute(data: KacMoodyData, v, cap: int) -> Certificate:
+def _refute(data: KacMoodyData, v) -> NotInCone | None:
+    """The affine delta criterion against v; None when it does not apply."""
     delta = delta_coefficients(data)
     if delta is None:
-        return Unknown(cap)
+        return None
     p = _chamber_coords(data, v)
     dv = sum(c * x for c, x in zip(delta, p))
     if dv < 0:
         return NotInCone("delta(v) < 0", dv)
     if dv == 0 and any(x != 0 for x in p):
         return NotInCone("delta(v) = 0 but v is not inessential", dv)
-    return Unknown(cap)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +205,23 @@ class UnknownWithinBound:
 Verdict = Prenilpotent | NotPrenilpotent | UnknownWithinBound
 
 
-def _search_witness(data: KacMoodyData, roots: list[RootVector], want_positive: bool,
-                    max_len: int) -> WeylElement | None:
-    for w in all_elements_up_to_length(data, max_len):
-        images = [w.act_root(r) for r in roots]
-        if want_positive and all(v.is_positive() for v in images):
-            return w
-        if not want_positive and all(v.is_negative() for v in images):
-            return w
-    return None
-
-
 def search_prenilpotent(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
                         max_len: int) -> Verdict:
-    """Pure word search: conclusive only when both witnesses are found."""
-    wp = _search_witness(data, [alpha.root, beta.root], True, max_len)
-    wn = _search_witness(data, [alpha.root, beta.root], False, max_len)
-    if wp is not None and wn is not None:
-        return Prenilpotent(wp, wn)
+    """Pure word search: conclusive only when both witnesses are found.
+
+    One BFS pass over the elements of length <= max_len keeps the first
+    that sends both roots into Delta_+ and the first that sends both into
+    Delta_-, and stops when it holds both.
+    """
+    wp = wn = None
+    for w in all_elements_up_to_length(data, max_len):
+        images = (w.act_root(alpha.root), w.act_root(beta.root))
+        if wp is None and all(v.is_positive() for v in images):
+            wp = w
+        elif wn is None and all(v.is_negative() for v in images):
+            wn = w
+        if wp is not None and wn is not None:
+            return Prenilpotent(wp, wn)
     return UnknownWithinBound(max_len)
 
 
@@ -228,34 +229,24 @@ def _witnesses_or_raise(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
                         start: int) -> Prenilpotent:
     """Unbounded-in-principle BFS for the two witnesses of a pair already
     known prenilpotent from a closed form; widens the length bound."""
-    bound = start
-    while bound <= start + 24:
-        wp = _search_witness(data, [alpha.root, beta.root], True, bound)
-        wn = _search_witness(data, [alpha.root, beta.root], False, bound)
-        if wp is not None and wn is not None:
-            return Prenilpotent(wp, wn)
-        bound += 4
+    for bound in range(start, start + 25, 4):
+        verdict = search_prenilpotent(data, alpha, beta, bound)
+        if isinstance(verdict, Prenilpotent):
+            return verdict
     raise ConeError("witness search exhausted for a closed-form prenilpotent pair")
 
 
-def _affine_finite_part(data: KacMoodyData, v: RootVector) -> tuple | None:
+def _affine_finite_part(delta: tuple[int, ...], v: RootVector) -> tuple | None:
     """Write v = finite_part + k*delta; returns the finite part coordinates.
 
-    Requires the affine node to be the unique index i with delta
-    coefficient usable as pivot; only the untwisted normalization with
-    delta coefficient 1 at some node is handled.
+    The first node with delta coefficient 1 drops out; None when delta has
+    no coefficient 1.
     """
-    delta = delta_coefficients(data)
-    if delta is None:
-        return None
     node = next((i for i, c in enumerate(delta) if c == 1), None)
     if node is None:
         return None
-    k = Fraction(v.coeffs[node], delta[node])
-    if k.denominator != 1:
-        return None
-    k = int(k)
-    return tuple(v.coeffs[i] - k * delta[i] for i in range(data.n) if i != node)
+    k = v.coeffs[node]
+    return tuple(x - k * d for i, (x, d) in enumerate(zip(v.coeffs, delta)) if i != node)
 
 
 def prenilpotent_pair(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
@@ -277,8 +268,9 @@ def prenilpotent_pair(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
             return NotPrenilpotent("beta = -alpha")
         return _witnesses_or_raise(data, alpha, beta, bound)
     if kind == KMClass.AFFINE:
-        fa = _affine_finite_part(data, alpha.root)
-        fb = _affine_finite_part(data, beta.root)
+        delta = delta_coefficients(data)
+        fa = _affine_finite_part(delta, alpha.root)
+        fb = _affine_finite_part(delta, beta.root)
         if fa is not None and fb is not None:
             if tuple(-x for x in fa) == fb:
                 return NotPrenilpotent("opposite finite parts")
@@ -303,11 +295,9 @@ def closed_interval(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
         raise PairNotPrenilpotent(verdict.reason)
     if isinstance(verdict, UnknownWithinBound):
         raise PairNotPrenilpotent(f"prenilpotency unknown within bound {verdict.bound}")
-    out = [alpha.root, beta.root]
     if alpha.root == beta.root:
         return [alpha.root]
-    from .weyl import inversion_set  # local alias
-
+    out = [alpha.root, beta.root]
     # p*alpha + q*beta is a real root iff its image under the positivity
     # witness lies in Inv(w_neg w_pos^{-1}): the image is a positive
     # combination of two positive roots and the negativity witness sends it
@@ -328,10 +318,5 @@ def closed_interval(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
                 out.append(alpha.root.scale(p) + beta.root.scale(q))
             q += 1
         p += 1
-    # dedupe, deterministic order
-    seen, uniq = set(), []
-    for v in out:
-        if v.coeffs not in seen:
-            seen.add(v.coeffs)
-            uniq.append(v)
-    return sorted(uniq, key=lambda v: (v.height(), v.coeffs))
+    # alpha != +-beta are linearly independent, so every p*alpha + q*beta is new
+    return sorted(out, key=lambda v: (v.height(), v.coeffs))

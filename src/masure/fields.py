@@ -500,11 +500,10 @@ def s_tilde(cfg: FieldConfig) -> Mat2:
 # Laurent monomial shorthands with negative exponents such as "t^-3" used
 # for tree point tails), so print -> parse is the identity.
 
-_TERM_RE = re.compile(r"^([+-]?\d+)?\s*(?:(\*)?\s*t(?:\^(-?\d+))?)?$")
 
-
-def _terms_to_str(terms) -> str:
-    """Join the nonzero (exponent, coefficient) terms as a sum of powers of t."""
+def _terms_to_str(terms, sep: str = "+") -> str:
+    """Join the nonzero (exponent, coefficient) terms, with sep, as a sum of
+    powers of t."""
     parts = []
     for e, x in terms:
         if not x:
@@ -515,7 +514,7 @@ def _terms_to_str(terms) -> str:
             parts.append("t" if x == 1 else f"{x}*t")
         else:
             parts.append(f"t^{e}" if x == 1 else f"{x}*t^{e}")
-    return "+".join(parts)
+    return sep.join(parts)
 
 
 def poly_to_str(c: Poly) -> str:

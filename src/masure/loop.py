@@ -22,7 +22,7 @@ from itertools import accumulate, repeat
 from math import lcm
 from operator import mul
 
-from .fields import is_prime
+from .fields import _terms_to_str, is_prime
 
 
 class LoopError(ValueError):
@@ -357,17 +357,7 @@ class TruncSeries:
         return self.coeffs[0] == one
 
     def __str__(self) -> str:
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*t" if c != 1 else "t")
-            else:
-                parts.append(f"{c}*t^{e}" if c != 1 else f"t^{e}")
-        body = " + ".join(parts) if parts else "0"
+        body = _terms_to_str(enumerate(self.coeffs), " + ") or "0"
         return f"{body} (mod t^{self.modulus})"
 
 

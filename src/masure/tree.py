@@ -28,8 +28,10 @@ from .fields import (
     FieldConfig,
     FieldElement,
     Mat2,
+    ParseError,
     Tail,
     _terms_to_str,
+    parse_element,
     s_tilde,
     t_diag,
     tail_reduce,
@@ -106,16 +108,15 @@ def point_to_str(p: TreePoint) -> str:
 
 def parse_point(cfg: FieldConfig, s: str) -> TreePoint:
     """Inverse of point_to_str; accepts any field-element syntax for the tail."""
-    from .fields import ParseError, parse_element
-
     s = s.strip()
     if not (s.startswith("(") and s.endswith(")")) or ";" not in s:
         raise ParseError(f"point syntax is (x; tail), got {s!r}")
-    body = s[1:-1]
-    xs, ts = body.split(";", 1)
-    x = Fraction(xs.strip())
-    tail = parse_element(cfg, ts.strip())
-    return make_point(cfg, x, tail)
+    xs, ts = s[1:-1].split(";", 1)
+    try:
+        x = Fraction(xs.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"point position {xs.strip()!r} is not a rational") from None
+    return make_point(cfg, x, parse_element(cfg, ts.strip()))
 
 
 def origin(cfg: FieldConfig) -> TreePoint:

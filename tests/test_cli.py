@@ -76,6 +76,22 @@ class TestTree:
         assert obj["values"] == ["7", "6", "9"]
         assert obj["folds"] == [["1/4", "6"]]
 
+    @pytest.mark.parametrize("field, p", [("F2(t)", "(0; 0"), ("F2(t)", "(a; 0)"),
+                                          ("F2(t)", "(1/0; 0)"), ("bogus", "(0; 0)")])
+    def test_malformed_point_or_field(self, capsys, field, p):
+        assert_usage_error(*run(capsys, "tree", "dist", "--field", field,
+                                "--p", p, "--q", "(0; 0)"))
+
+    @pytest.mark.parametrize("argv", [
+        ("ball", "--field", "F2(t)", "--radius", "1", "--json"),
+        ("retract", "--field", "F2(t)", "--p", "(0; 0)", "--q", "(1; 0)", "--center", "bogus"),
+        ("retract", "--field", "F2(t)", "--p", "(0; 0)", "--q", "(1; 0)", "--center", "+inf"),
+    ])
+    def test_unknown_option_or_value(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["tree", *argv])
+        assert exc.value.code == 2
+
     def test_ball_negative_radius(self, capsys):
         assert_usage_error(*run(capsys, "tree", "ball", "--field", "F2(t)", "--radius", "-1"))
 
@@ -154,6 +170,10 @@ class TestAlgebraCommands:
         obj = json.loads(out)
         assert obj["length"] == 4
         assert len(obj["inversion_set"]) == 4
+
+    def test_weyl_word_not_integer(self, capsys):
+        assert_usage_error(*run(capsys, "weyl", "--data", '{"matrix": [[2,-2],[-2,2]]}',
+                                "--word", "1,a"))
 
     def test_cone(self, capsys):
         code, out, _ = run(capsys, "cone", "--data", '{"matrix": [[2,-1],[-5,2]]}',
@@ -372,6 +392,13 @@ class TestHeckeCommand:
         assert_usage_error(*run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
                                 "--path", path, "--shape", "2", "--bounds", bounds))
 
+    @pytest.mark.parametrize("chamber", ["bogus", "plus"])
+    def test_unknown_chamber(self, chamber):
+        with pytest.raises(SystemExit) as exc:
+            main(["hecke", "verify", "--data", '{"matrix": [[2]]}', "--path", self.PATH,
+                  "--shape", "2", "--chamber", chamber])
+        assert exc.value.code == 2
+
     def test_reject(self, capsys):
         bad = ('{"breakpoints": ["0","1/2","1"], '
                '"positions": [["19/4"],["15/4"],["19/4"]]}')
@@ -435,6 +462,11 @@ class TestSelftest:
         marks = [line.split()[0] for line in text.splitlines()[:3]]
         assert [r["ok"] for r in rows] == [m == "PASS" for m in marks]
         assert code == text_code
+
+    def test_seed_environment_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("MASURE_SEED", "abc")
+        code, out, err = run(capsys, "selftest", "--criteria", "1")
+        assert code == 0 and err == "" and out.startswith("PASS   1 ")
 
     @pytest.mark.parametrize("criteria", ["13", "1,0", "x"])
     def test_unknown_criteria(self, capsys, criteria):

@@ -18,6 +18,7 @@ except ImportError:  # pragma: no cover - sympy is a test-only extra
 
 from masure import cone
 from masure.cone import (
+    ConeError,
     FaceDescriptor,
     InCone,
     NotInCone,
@@ -26,6 +27,7 @@ from masure.cone import (
     PairNotPrenilpotent,
     Prenilpotent,
     Unknown,
+    UnknownWithinBound,
     closed_interval,
     face_of,
     is_spherical,
@@ -34,8 +36,10 @@ from masure.cone import (
     search_prenilpotent,
 )
 from masure.kmdata import (
+    KMClass,
     RootVector,
     affine_sl2_data,
+    classify,
     delta_coefficients,
     finite_a2_data,
     minimal_realization,
@@ -44,6 +48,7 @@ from masure.kmdata import (
     validate_data,
 )
 from masure.weyl import (
+    all_elements_up_to_length,
     enumerate_real_roots,
     find_real_root,
     simple_real_root,
@@ -614,3 +619,122 @@ def test_rank2_verdicts_in_a_rank3_realization(ab, c, ops, v, draw):
                 == (want.to_positive.word, want.to_negative.word))
     else:
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the one-pass witness search against the two-scan search it replaced
+
+def old_search_witness(data, roots, want_positive, max_len):
+    for w in all_elements_up_to_length(data, max_len):
+        images = [w.act_root(r) for r in roots]
+        if want_positive and all(v.is_positive() for v in images):
+            return w
+        if not want_positive and all(v.is_negative() for v in images):
+            return w
+    return None
+
+
+def old_search_prenilpotent(data, alpha, beta, max_len):
+    wp = old_search_witness(data, [alpha.root, beta.root], True, max_len)
+    wn = old_search_witness(data, [alpha.root, beta.root], False, max_len)
+    if wp is not None and wn is not None:
+        return Prenilpotent(wp, wn)
+    return UnknownWithinBound(max_len)
+
+
+def old_witnesses_or_raise(data, alpha, beta, start):
+    bound = start
+    while bound <= start + 24:
+        wp = old_search_witness(data, [alpha.root, beta.root], True, bound)
+        wn = old_search_witness(data, [alpha.root, beta.root], False, bound)
+        if wp is not None and wn is not None:
+            return Prenilpotent(wp, wn)
+        bound += 4
+    raise ConeError("witness search exhausted for a closed-form prenilpotent pair")
+
+
+def old_affine_finite_part(data, v):
+    delta = delta_coefficients(data)
+    if delta is None:
+        return None
+    node = next((i for i, c in enumerate(delta) if c == 1), None)
+    if node is None:
+        return None
+    k = Fraction(v.coeffs[node], delta[node])
+    if k.denominator != 1:
+        return None
+    k = int(k)
+    return tuple(v.coeffs[i] - k * delta[i] for i in range(data.n) if i != node)
+
+
+def old_prenilpotent_pair(data, alpha, beta, bound):
+    kind = classify(data.matrix)
+    if kind == KMClass.FINITE:
+        if alpha.root == -beta.root:
+            return NotPrenilpotent("beta = -alpha")
+        return old_witnesses_or_raise(data, alpha, beta, bound)
+    if kind == KMClass.AFFINE:
+        fa = old_affine_finite_part(data, alpha.root)
+        fb = old_affine_finite_part(data, beta.root)
+        if fa is not None and fb is not None:
+            if tuple(-x for x in fa) == fb:
+                return NotPrenilpotent("opposite finite parts")
+            return old_witnesses_or_raise(data, alpha, beta, bound)
+        return old_search_prenilpotent(data, alpha, beta, bound)
+    if kind == KMClass.INDEFINITE and data.n == 2:
+        sa, sb = (sum(c * data.matrix[0, j] for j, c in enumerate(r.root.coeffs))
+                  for r in (alpha, beta))
+        if sa * sb > 0:
+            return old_witnesses_or_raise(data, alpha, beta, bound)
+        return NotPrenilpotent("no cone between the eigenlines is shared")
+    return old_search_prenilpotent(data, alpha, beta, bound)
+
+
+def _outcome(fn, *args):
+    """The verdict's type, reason and witness words, or the error raised."""
+    try:
+        v = fn(*args)
+    except ConeError as exc:
+        return ConeError, str(exc)
+    if isinstance(v, Prenilpotent):
+        return Prenilpotent, v.to_positive.word, v.to_negative.word
+    return type(v), getattr(v, "reason", None), getattr(v, "bound", None)
+
+
+COXETER_POOL = {
+    "A2": [[2, -1], [-1, 2]],
+    "affine_sl2": [[2, -2], [-2, 2]],
+    "rank2_1_5": [[2, -1], [-5, 2]],
+    "affine_A2": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    "hyperbolic": POOL_HYPERBOLIC,
+}
+WITNESS_DATA = {name: minimal_realization(validate(m)) for name, m in COXETER_POOL.items()}
+WITNESS_DATA.update({(a, b): rank2_data(a, b) for a in range(1, 7) for b in range(1, 7)})
+_witness_roots = {}
+
+
+def _roots_for_witnesses(key):
+    if key not in _witness_roots:
+        data = WITNESS_DATA[key]
+        pos = enumerate_real_roots(data, 9 if data.n == 2 else 6).roots
+        _witness_roots[key] = [s for r in pos for s in (r, r.negate())]
+    return _witness_roots[key]
+
+
+witness_data = st.one_of(st.sampled_from(list(COXETER_POOL)),
+                        st.tuples(st.integers(1, 6), st.integers(1, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(witness_data, st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 8))
+@example("hyperbolic", 0, 3, 6)
+@example("affine_A2", 0, 3, 6)
+def test_one_pass_search_matches_two_scans(key, i, j, bound):
+    # signed roots of height <= 9 at rank 2 and <= 6 at rank 3, bounds <= 6 at rank 3
+    data, roots = WITNESS_DATA[key], _roots_for_witnesses(key)
+    alpha, beta = roots[i % len(roots)], roots[j % len(roots)]
+    bound = min(bound, 8 if data.n == 2 else 6)
+    assert (_outcome(prenilpotent_pair, data, alpha, beta, bound)
+            == _outcome(old_prenilpotent_pair, data, alpha, beta, bound))
+    assert (_outcome(search_prenilpotent, data, alpha, beta, bound)
+            == _outcome(old_search_prenilpotent, data, alpha, beta, bound))

@@ -119,6 +119,12 @@ class TestTruncSeries:
         with pytest.raises(LoopError):
             series(R2, (1,), 0)
 
+    def test_str(self):
+        a = series(RQ, (Fraction(1, 2), Fraction(-1), 0, 1, Fraction(1, 2)), 6)
+        assert str(a) == "1/2 + -1*t + t^3 + 1/2*t^4 (mod t^6)"
+        assert str(series(R2, (1, 1, 0, 1), 5)) == "1 + t + t^3 (mod t^5)"
+        assert str(series_zero(RQ, 3)) == "0 (mod t^3)"
+
 
 class TestExpImaginary:
     def test_zero_is_identity(self):

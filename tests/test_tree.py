@@ -10,6 +10,7 @@ from masure.fields import (
     INF,
     FieldConfig,
     Mat2,
+    ParseError,
     mat_identity,
     matrix_valuation,
     s_tilde,
@@ -500,3 +501,8 @@ class TestPointSyntax:
     def test_examples(self):
         assert parse_point(F2, "(1; t^-3)") == make_point(F2, 1, t(F2, -3))
         assert parse_point(F2, "(-3/2; 0)") == make_point(F2, Fraction(-3, 2))
+
+    @pytest.mark.parametrize("text", ["(0; 0", "0; 0", "(0, 0)", "(a; 0)", "(1/0; 0)", "(0; zz)"])
+    def test_malformed_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_point(F2, text)
