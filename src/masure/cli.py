@@ -367,6 +367,8 @@ def _bounds_arg(text: str) -> tuple[int, int, int]:
         hb, wb, kmax = (int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"--bounds takes H,L,k_max as three integers, got {text!r}") from None
+    if hb < 1 or wb < 0 or kmax < 1:
+        raise UsageError(f"--bounds needs H >= 1, L >= 0 and k_max >= 1, got {text!r}")
     return hb, wb, kmax
 
 

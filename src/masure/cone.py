@@ -3,10 +3,10 @@ prenilpotent pairs and closed root intervals.
 
 Membership certificates are exact.  Greedy normalization handles every
 vector of the cone; outside it, type-specific witnesses decide for finite
-type (vacuous), untwisted affine type (the delta criterion) and data whose
-W-invariant form is Lorentzian (``kmdata.lorentzian_form``: symmetrizable
-hyperbolic type, which holds every rank-2 indefinite A).  Other vectors
-and types report Unknown.
+type (vacuous), affine type (the delta criterion, A delta = 0) and data
+whose W-invariant form is Lorentzian (``kmdata.lorentzian_form``:
+symmetrizable hyperbolic type, which holds every rank-2 indefinite A).
+Other vectors and types report Unknown.
 
 Where the form exists, write (v|v) = p^T M p in the chamber coordinates
 p_i = alpha_i(v).  The Tits cone lies in the closed nappe of {(v|v) <= 0}
@@ -228,7 +228,7 @@ def search_prenilpotent(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
 def _witnesses_or_raise(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
                         start: int) -> Prenilpotent:
     """Unbounded-in-principle BFS for the two witnesses of a pair already
-    known prenilpotent from a closed form; widens the length bound."""
+    known prenilpotent from the pairing rule; widens the length bound."""
     for bound in range(start, start + 25, 4):
         verdict = search_prenilpotent(data, alpha, beta, bound)
         if isinstance(verdict, Prenilpotent):
@@ -236,53 +236,35 @@ def _witnesses_or_raise(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
     raise ConeError("witness search exhausted for a closed-form prenilpotent pair")
 
 
-def _affine_finite_part(delta: tuple[int, ...], v: RootVector) -> tuple | None:
-    """Write v = finite_part + k*delta; returns the finite part coordinates.
-
-    The first node with delta coefficient 1 drops out; None when delta has
-    no coefficient 1.
-    """
-    node = next((i for i, c in enumerate(delta) if c == 1), None)
-    if node is None:
-        return None
-    k = v.coeffs[node]
-    return tuple(x - k * d for i, (x, d) in enumerate(zip(v.coeffs, delta)) if i != node)
+_NOT_PRENILPOTENT = {
+    KMClass.FINITE: "beta = -alpha",
+    KMClass.AFFINE: "opposite finite parts",
+    KMClass.INDEFINITE: "no cone between the eigenlines is shared",
+}
 
 
 def prenilpotent_pair(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
                       bound: int = 8) -> Verdict:
-    """Closed-form criterion where available, else bounded word search.
+    """One pairing rule for finite, affine and rank-2 indefinite data, else
+    bounded word search.
 
-    Finite type: prenilpotent iff alpha != -beta.  Untwisted affine:
-    iff the finite parts are not opposite.  Rank-2 indefinite: the
-    spacelike vectors form an open cone Gamma that holds alpha_0^vee,
-    together with -Gamma; the pair is prenilpotent iff both roots are
-    nonnegative on the closure of Gamma or both on that of -Gamma.  A real
-    coroot is spacelike, and alpha >= 0 on the closure of Gamma iff
-    alpha^vee lies in Gamma, that is iff alpha(alpha_0^vee) > 0.  This reads
-    only A, so it holds in every realization.
+    With ab = alpha(beta^vee) and ba = beta(alpha^vee), the pair is not
+    prenilpotent iff ab < 0 and ab * ba >= 4.  If ab * ba < 4, r_alpha and
+    r_beta generate a finite group, whose walls meet inside the open Tits
+    cone, so every sign pattern of (alpha, beta) occurs there.  Otherwise
+    they generate an infinite dihedral group, and exactly one of {alpha,
+    beta} and {alpha, -beta} is prenilpotent: the one with ab > 0.  On
+    finite data this says alpha != -beta, on affine data that the finite
+    parts are not negatively proportional.  The rule reads only A and the
+    pairings, so it holds in every realization.
     """
     kind = classify(data.matrix)
-    if kind == KMClass.FINITE:
-        if alpha.root == -beta.root:
-            return NotPrenilpotent("beta = -alpha")
-        return _witnesses_or_raise(data, alpha, beta, bound)
-    if kind == KMClass.AFFINE:
-        delta = delta_coefficients(data)
-        fa = _affine_finite_part(delta, alpha.root)
-        fb = _affine_finite_part(delta, beta.root)
-        if fa is not None and fb is not None:
-            if tuple(-x for x in fa) == fb:
-                return NotPrenilpotent("opposite finite parts")
-            return _witnesses_or_raise(data, alpha, beta, bound)
+    if kind == KMClass.INDEFINITE and data.n > 2:
         return search_prenilpotent(data, alpha, beta, bound)
-    if kind == KMClass.INDEFINITE and data.n == 2:
-        sa, sb = (sum(c * data.matrix[0, j] for j, c in enumerate(r.root.coeffs))
-                  for r in (alpha, beta))
-        if sa * sb > 0:
-            return _witnesses_or_raise(data, alpha, beta, bound)
-        return NotPrenilpotent("no cone between the eigenlines is shared")
-    return search_prenilpotent(data, alpha, beta, bound)
+    ab = data.eval_root(alpha.root, beta.coroot)
+    if ab < 0 and ab * data.eval_root(beta.root, alpha.coroot) >= 4:
+        return NotPrenilpotent(_NOT_PRENILPOTENT[kind])
+    return _witnesses_or_raise(data, alpha, beta, bound)
 
 
 def closed_interval(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,

@@ -1,8 +1,8 @@
 """Generalized Cartan matrices and root data.
 
 Validation of the three matrix axioms, decomposition into indecomposable
-blocks, the finite/affine/indefinite trichotomy by exact rational
-feasibility, and free realizations (lattices plus simple roots/coroots
+blocks, the finite/affine/indefinite trichotomy by the exact inertia of the
+symmetrized matrix, and free realizations (lattices plus simple roots/coroots
 with the compatibility pairing).
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .linalg import Ineq, fm_feasible, kernel_basis, rank, rref
+from .linalg import kernel_basis, rank, rref
 
 
 class KMError(ValueError):
@@ -105,40 +105,71 @@ def is_indecomposable(a: KacMoodyMatrix) -> bool:
     return len(decompose(a)) == 1
 
 
-def _strict_system(a: KacMoodyMatrix, sign: int) -> list[Ineq]:
-    """Feasibility system for: u >= 1 entrywise and sign*(A u) >= 1 entrywise.
-
-    By homogeneity this is equivalent to u > 0 with sign*(A u) > 0.
-    """
+def _symmetrized(a: KacMoodyMatrix) -> list[list[Fraction]] | None:
+    """The symmetric B with A = D B for a positive diagonal D, or None if A is
+    not symmetrizable; D is 1 at the first index of each block."""
     n = a.n
-    ineqs: list[Ineq] = []
-    one = Fraction(1)
-    for i in range(n):
-        e = tuple(one if j == i else Fraction(0) for j in range(n))
-        ineqs.append((e, one))
-        row = tuple(Fraction(sign * a[i, j]) for j in range(n))
-        ineqs.append((row, one))
-    return ineqs
+    d: list[Fraction | None] = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j == i or a[i, j] == 0:
+                    continue
+                dj = d[i] * a[j, i] / a[i, j]
+                if d[j] is None:
+                    d[j] = dj
+                    stack.append(j)
+                elif d[j] != dj:
+                    return None
+    return [[a[i, j] / d[i] for j in range(n)] for i in range(n)]
+
+
+def _inertia(m) -> tuple[int, int]:
+    """(positive, negative) index of inertia of a symmetric rational matrix,
+    by diagonalizing it with congruences (Sylvester's law of inertia)."""
+    m = [list(row) for row in m]
+    pos = neg = 0
+    while m:
+        size = len(m)
+        k = next((k for k in range(size) if m[k][k] != 0), None)
+        if k is None:
+            k, j = next(((k, j) for k in range(size) for j in range(size) if m[k][j] != 0),
+                        (None, None))
+            if k is None:
+                break
+            # add row and column j to k; the diagonal entry becomes 2 m[k][j]
+            m[k] = [x + y for x, y in zip(m[k], m[j])]
+            for row in m:
+                row[k] += row[j]
+        piv = m[k][k]
+        pos, neg = pos + (piv > 0), neg + (piv < 0)
+        m = [[m[i][j] - m[i][k] * m[k][j] / piv for j in range(size) if j != k]
+             for i in range(size) if i != k]
+    return pos, neg
 
 
 def classify(a: KacMoodyMatrix) -> KMClass:
-    """Trichotomy for an indecomposable matrix.
+    """Trichotomy for an indecomposable matrix, by the inertia of B in A = D B.
 
-    Finite: some u > 0 has Au > 0.  Affine: some u > 0 has Au = 0 (the
-    kernel of an indecomposable matrix is at most a line, so it suffices
-    to inspect a kernel generator).  Indefinite: some u > 0 has Au < 0.
+    Finite and affine matrices are symmetrizable (Kac, Infinite-dimensional
+    Lie algebras, ch. 4): A is finite iff B is positive definite and affine
+    iff B is positive semidefinite and singular.  Every other matrix, every
+    non-symmetrizable one included, is indefinite.
     """
     if not is_indecomposable(a):
         raise Decomposable("classification requires an indecomposable matrix")
-    if fm_feasible(_strict_system(a, +1)):
-        return KMClass.FINITE
-    kern = kernel_basis(a.entries)
-    for v in kern:
-        if all(x > 0 for x in v) or all(x < 0 for x in v):
-            return KMClass.AFFINE
-    if fm_feasible(_strict_system(a, -1)):
+    b = _symmetrized(a)
+    if b is None:
         return KMClass.INDEFINITE
-    raise KMError("trichotomy failed; matrix is not a valid GCM?")
+    pos, neg = _inertia(b)
+    if neg:
+        return KMClass.INDEFINITE
+    return KMClass.FINITE if pos == a.n else KMClass.AFFINE
 
 
 @dataclass(frozen=True)
@@ -283,13 +314,13 @@ def rank2_data(a: int, b: int) -> KacMoodyData:
 
 
 def delta_coefficients(data: KacMoodyData) -> tuple[int, ...] | None:
-    """For affine data: the primitive positive integer kernel vector of the
-    transposed matrix, i.e. delta = sum a_i alpha_i.  None if not affine."""
+    """For affine data: the primitive positive integer vector a with A a = 0,
+    so that delta = sum a_i alpha_i vanishes on every simple coroot.  None if
+    not affine."""
     a = data.matrix
     if classify(a) != KMClass.AFFINE:
         return None
-    kern = kernel_basis(a.transpose().entries)
-    v = kern[0]
+    v = kernel_basis(a.entries)[0]
     if v[0] < 0:
         v = tuple(-x for x in v)
     denom = math.lcm(*(x.denominator for x in v))
@@ -298,76 +329,26 @@ def delta_coefficients(data: KacMoodyData) -> tuple[int, ...] | None:
     return tuple(x // g for x in ints)
 
 
-def _symmetrizer(a: KacMoodyMatrix) -> list[Fraction] | None:
-    """Positive d with a[i][j] / d[i] symmetric, or None if A is not
-    symmetrizable; d is 1 at the first index of each block."""
-    n = a.n
-    d: list[Fraction | None] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j == i or a[i, j] == 0:
-                    continue
-                dj = d[i] * a[j, i] / a[i, j]
-                if d[j] is None:
-                    d[j] = dj
-                    stack.append(j)
-                elif d[j] != dj:
-                    return None
-    return d
-
-
-def _inertia(m) -> tuple[int, int]:
-    """(positive, negative) index of inertia of a symmetric rational matrix,
-    by diagonalizing it with congruences (Sylvester's law of inertia)."""
-    m = [list(row) for row in m]
-    pos = neg = 0
-    while m:
-        size = len(m)
-        k = next((k for k in range(size) if m[k][k] != 0), None)
-        if k is None:
-            k, j = next(((k, j) for k in range(size) for j in range(size) if m[k][j] != 0),
-                        (None, None))
-            if k is None:
-                break
-            # add row and column j to k; the diagonal entry becomes 2 m[k][j]
-            m[k] = [x + y for x, y in zip(m[k], m[j])]
-            for row in m:
-                row[k] += row[j]
-        piv = m[k][k]
-        pos, neg = pos + (piv > 0), neg + (piv < 0)
-        m = [[m[i][j] - m[i][k] * m[k][j] / piv for j in range(size) if j != k]
-             for i in range(size) if i != k]
-    return pos, neg
-
-
 def lorentzian_form(a: KacMoodyMatrix) -> tuple[tuple[Fraction, ...], ...] | None:
     """The W-invariant form in the chamber coordinates p_i = alpha_i(v),
     when it confines the Tits cone to one closed nappe; else None.
 
     Write A = D B with D positive diagonal and B symmetric.  A simple
     reflection acts by p_j -> p_j - p_i a[i][j], and p^T B^-1 p is invariant.
-    The matrix M = B^-1 is returned when it exists, has no positive entry
-    and has inertia (n-1, 1), as for symmetrizable hyperbolic A (Kac,
+    The matrix M = B^-1 is returned when B has inertia (n-1, 1) and M has no
+    positive entry, as for symmetrizable hyperbolic A (Kac,
     Infinite-dimensional Lie algebras, ch. 5).  Then the form is <= 0 on the
     fundamental chamber, so the Tits cone lies in {p^T M p <= 0, p^T M 1 <= 0}.
-    For n = 1 the form (1/2) is positive, so None is returned at once.
+    The inertia is read off B before any inversion, so finite and affine
+    data, and n = 1, return None without one.
     """
     n = a.n
-    d = _symmetrizer(a) if n > 1 else None
-    if d is None:
+    b = _symmetrized(a)
+    if b is None or _inertia(b) != (n - 1, 1):
         return None
-    m, pivots = rref([[a[i, j] / d[i] for j in range(n)] + [int(i == j) for j in range(n)]
-                      for i in range(n)])
-    if pivots != list(range(n)):
-        return None
+    m = rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(b)])[0]
     form = tuple(tuple(row[n:]) for row in m)
-    if any(x > 0 for row in form for x in row) or _inertia(form) != (n - 1, 1):
+    if any(x > 0 for row in form for x in row):
         return None
     return form
 

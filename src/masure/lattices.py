@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import INF, FieldConfig, FieldElement, Mat2, tail_reduce
+from .fields import INF, Mat2, tail_reduce
 from .tree import TreePoint
 
 

@@ -250,6 +250,8 @@ class SeriesRing:
     def __post_init__(self) -> None:
         if self.kind == GF and not is_prime(self.p):
             raise LoopError(f"{self.p} is not prime")
+        if self.kind == QQ and self.p != 0:
+            raise LoopError(f"the rational series ring takes no prime, got p = {self.p}")
         if self.kind not in (GF, QQ):
             raise LoopError(f"unknown coefficient ring {self.kind!r}")
 

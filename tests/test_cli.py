@@ -306,6 +306,36 @@ class TestAlgebraCommands:
         assert_usage_error(*run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-1],[-1,2]]}',
                                 "--alpha", alpha, "--beta", "0,1"))
 
+    # A_2^(2) has delta = alpha_0 + 2 alpha_1 and C_2^(1) has delta = alpha_0 +
+    # 2 alpha_1 + alpha_2: both solve A delta = 0, not A^T delta = 0
+    TWISTED = '{"matrix": [[2,-1],[-4,2]]}'
+    C21 = '{"matrix": [[2,-1,0],[-2,2,-2],[0,-1,2]]}'
+
+    @pytest.mark.parametrize("data, alpha, beta, to_negative", [
+        (TWISTED, "1,0", "1,1", [1, 0]),
+        (C21, "0,0,1", "1,1,0", [2, 1, 2, 1, 0]),
+    ])
+    def test_prenilpotent_non_symmetric_affine(self, capsys, data, alpha, beta, to_negative):
+        code, out, _ = run(capsys, "prenilpotent", "--data", data, "--alpha", alpha,
+                           "--beta", beta)
+        obj = json.loads(out)
+        assert code == 0 and obj["verdict"] == "prenilpotent"
+        assert obj["to_positive"] == [] and obj["to_negative"] == to_negative
+
+    def test_twisted_simple_roots_not_prenilpotent(self, capsys):
+        code, out, _ = run(capsys, "prenilpotent", "--data", self.TWISTED,
+                           "--alpha", "1,0", "--beta", "0,1")
+        assert code == 0
+        assert json.loads(out) == {"verdict": "not_prenilpotent", "reason": "opposite finite parts"}
+
+    @pytest.mark.parametrize("data, vector", [(TWISTED, "-3,0,1"), (C21, "-3,-2,-3,1")])
+    def test_cone_non_symmetric_affine_not_refuted(self, capsys, data, vector):
+        # delta(v) > 0, so v lies in the Tits cone; a cap of 1 leaves it undecided
+        code, out, _ = run(capsys, "cone", "--data", data, f"--vector={vector}", "--cap", "1")
+        assert code == 0 and json.loads(out) == {"status": "unknown", "steps": 1}
+        code, out, _ = run(capsys, "cone", "--data", data, f"--vector={vector}")
+        assert code == 0 and json.loads(out)["status"] == "in_cone"
+
     def test_gm(self, capsys):
         code, out, _ = run(capsys, "gm", "--n", "2")
         assert code == 0 and out.strip() == "1/2*Z2 + 1/2*Z1^2"
@@ -391,6 +421,18 @@ class TestHeckeCommand:
     def test_malformed_path_or_bounds(self, capsys, path, bounds):
         assert_usage_error(*run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
                                 "--path", path, "--shape", "2", "--bounds", bounds))
+
+    @pytest.mark.parametrize("bounds", ["9,6,0", "0,6,3", "9,-1,3"])
+    def test_bounds_out_of_range(self, capsys, bounds):
+        code, out, err = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
+                             "--path", self.PATH, "--shape", "2", "--bounds=" + bounds)
+        assert_usage_error(code, out, err)
+        assert "H >= 1, L >= 0 and k_max >= 1" in err
+
+    def test_smallest_bounds_accepted(self, capsys):
+        code, out, _ = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
+                           "--path", self.PATH, "--shape", "2", "--bounds", "1,0,1")
+        assert code == 0 and json.loads(out)["verified"] is True
 
     @pytest.mark.parametrize("chamber", ["bogus", "plus"])
     def test_unknown_chamber(self, chamber):

@@ -1,6 +1,7 @@
 """Generalized Cartan matrices: axioms, blocks, trichotomy, realizations."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from masure.kmdata import (
     data_to_json,
     decompose,
     delta_coefficients,
+    finite_a2_data,
     lorentzian_form,
     minimal_realization,
     rank2_data,
@@ -248,6 +250,10 @@ def gcms(n: int, lowest: int = -3):
 
 
 GCMS_3 = [m for m in gcms(3) if len(decompose(validate(m))) == 1]
+# the affine 2 x 2 and 3 x 3 GCMs with entries >= -4 and >= -3: A_1^(1), A_2^(2)
+# and its transpose, and the 25 of rank 3 (twisted ones and C_2^(1) included)
+AFFINE_GCMS = ([[[2, -a], [-b, 2]] for a, b in ((1, 4), (2, 2), (4, 1))]
+               + [m for m in GCMS_3 if kac_class(m) == "affine"])
 HYPERBOLIC_3 = [m for m in GCMS_3 if is_hyperbolic(m)]
 
 
@@ -276,6 +282,27 @@ def test_classify_matches_principal_minors():
     assert len(GCMS_3) == 972
     for m in GCMS_3:
         assert classify(validate(m)).value == kac_class(m), m
+
+
+def test_classify_matches_principal_minors_4x4_sample():
+    # every 7th indecomposable 4 x 4 GCM with entries >= -2, and the hyperbolic ones >= -3
+    sample = [m for m in gcms(4, -2) if len(decompose(validate(m))) == 1][::7]
+    assert len(sample) == 2158
+    for m in sample + HYPERBOLIC_4:
+        assert classify(validate(m)).value == kac_class(m), m
+
+
+def test_delta_is_the_kernel_of_a():
+    assert len(AFFINE_GCMS) == 28
+    for m in AFFINE_GCMS:
+        delta = delta_coefficients(minimal_realization(validate(m)))
+        assert all(x > 0 for x in delta) and math.gcd(*delta) == 1, m
+        # delta vanishes on every simple coroot: sum_j a[i][j] delta_j = 0
+        assert all(sum(x * d for x, d in zip(row, delta)) == 0 for row in m), m
+    assert delta_coefficients(rank2_data(1, 4)) == (1, 2)  # A_2^(2)
+    c21 = minimal_realization(validate([[2, -1, 0], [-2, 2, -2], [0, -1, 2]]))
+    assert delta_coefficients(c21) == (1, 2, 1)  # C_2^(1)
+    assert delta_coefficients(finite_a2_data()) is None
 
 
 def test_form_premise_is_symmetrizable_hyperbolic():

@@ -119,6 +119,13 @@ class TestTruncSeries:
         with pytest.raises(LoopError):
             series(R2, (1,), 0)
 
+    def test_rational_ring_takes_no_prime(self):
+        # a prime on Q would reduce numerators mod p: 2 + t/3 + 7t^2 got a wrong inverse
+        with pytest.raises(LoopError, match="takes no prime"):
+            SeriesRing(QQ, 5)
+        f = series(RQ, (2, Fraction(1, 3), 7), 6)
+        assert f * f.inverse() == series_one(RQ, 6)
+
     def test_str(self):
         a = series(RQ, (Fraction(1, 2), Fraction(-1), 0, 1, Fraction(1, 2)), 6)
         assert str(a) == "1/2 + -1*t + t^3 + 1/2*t^4 (mod t^6)"
