@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import kernel_basis, rank, rref
 
@@ -59,6 +60,22 @@ class KacMoodyMatrix:
 
     def submatrix(self, idx: tuple[int, ...]) -> "KacMoodyMatrix":
         return KacMoodyMatrix(tuple(tuple(self.entries[i][j] for j in idx) for i in idx))
+
+    # The type, delta and form depend on the entries alone, and cone queries
+    # on one datum ask for them on every call: each is computed once per
+    # matrix and lives as long as it does.
+
+    @cached_property
+    def _kind(self) -> "KMClass":
+        return _classify(self)
+
+    @cached_property
+    def _delta(self) -> tuple[int, ...] | None:
+        return _delta_coefficients(self)
+
+    @cached_property
+    def _form(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        return _lorentzian_form(self)
 
 
 def validate(rows) -> KacMoodyMatrix:
@@ -161,6 +178,10 @@ def classify(a: KacMoodyMatrix) -> KMClass:
     iff B is positive semidefinite and singular.  Every other matrix, every
     non-symmetrizable one included, is indefinite.
     """
+    return a._kind
+
+
+def _classify(a: KacMoodyMatrix) -> KMClass:
     if not is_indecomposable(a):
         raise Decomposable("classification requires an indecomposable matrix")
     b = _symmetrized(a)
@@ -317,7 +338,10 @@ def delta_coefficients(data: KacMoodyData) -> tuple[int, ...] | None:
     """For affine data: the primitive positive integer vector a with A a = 0,
     so that delta = sum a_i alpha_i vanishes on every simple coroot.  None if
     not affine."""
-    a = data.matrix
+    return data.matrix._delta
+
+
+def _delta_coefficients(a: KacMoodyMatrix) -> tuple[int, ...] | None:
     if classify(a) != KMClass.AFFINE:
         return None
     v = kernel_basis(a.entries)[0]
@@ -342,6 +366,10 @@ def lorentzian_form(a: KacMoodyMatrix) -> tuple[tuple[Fraction, ...], ...] | Non
     The inertia is read off B before any inversion, so finite and affine
     data, and n = 1, return None without one.
     """
+    return a._form
+
+
+def _lorentzian_form(a: KacMoodyMatrix) -> tuple[tuple[Fraction, ...], ...] | None:
     n = a.n
     b = _symmetrized(a)
     if b is None or _inertia(b) != (n - 1, 1):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm
+from math import factorial, lcm, prod
 from operator import mul
 
 from .fields import _terms_to_str, is_prime
@@ -159,17 +159,34 @@ def poly_str(a: QPoly, name: str = "Z") -> str:
 # ---------------------------------------------------------------------------
 # the polynomial family
 
+def _partitions(n: int, low: int = 1):
+    """The partitions of n into parts >= low, as non-decreasing part tuples
+    in lex order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(low, n // 2 + 1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+    if n >= low:
+        yield (n,)
+
+
 def gm_poly(n: int) -> QPoly:
-    """L_n via the recurrence n L_n = sum_{p=1}^{n} Z_p L_{n-p}, L_0 = 1."""
+    """L_n as the cycle index of S_n: the partition of n with m_j parts j
+    gives the monomial prod Z_j^m_j with coefficient 1 / prod j^m_j m_j!.
+    The partitions run in lex order of their non-decreasing part sequences,
+    which for n <= 19 is the insertion order of the recurrence
+    n L_n = sum_{p=1}^{n} Z_p L_{n-p}."""
     if n < 0:
         raise LoopError("index must be nonnegative")
-    table = [poly_const(1)]
-    for m in range(1, n + 1):
-        acc = poly_zero()
-        for p in range(1, m + 1):
-            acc = poly_add(acc, poly_mul(poly_var(p), table[m - p]))
-        table.append(poly_scale(acc, Fraction(1, m)))
-    return table[n]
+    out: QPoly = {}
+    for parts in _partitions(n):
+        mults = [0] * (parts[-1] if parts else 0)
+        for j in parts:
+            mults[j - 1] += 1
+        out[tuple(mults)] = Fraction(1, prod(parts) * prod(map(factorial, mults)))
+    return out
 
 
 def gm_from_generating_function(n: int) -> QPoly:
@@ -428,36 +445,65 @@ def matrix_identity(ring: SeriesRing, modulus: int) -> SeriesMatrix:
 
 
 def exp_imaginary(ring: SeriesRing, r, s: int, modulus: int) -> SeriesMatrix:
-    """diag(1/(1 - r t^s), 1 - r t^s) truncated at the modulus."""
+    """diag(1/(1 - r t^s), 1 - r t^s) truncated at the modulus, the first
+    entry built as the geometric series sum_j r^j t^(sj)."""
     if s < 1:
         raise LoopError("imaginary direction index must be >= 1")
-    low = one_minus_rtn(ring, r, s, modulus)
-    return SeriesMatrix(low.inverse(), series_zero(ring, modulus),
-                        series_zero(ring, modulus), low)
+    r = ring.coerce(r)
+    geometric = [0] * modulus
+    power = ring.coerce(1)
+    for m in range(0, modulus, s):
+        geometric[m] = power
+        power = ring.coerce(power * r)
+    return SeriesMatrix(TruncSeries(ring, tuple(geometric), modulus), series_zero(ring, modulus),
+                        series_zero(ring, modulus), one_minus_rtn(ring, r, s, modulus))
+
+
+def _times_one_minus(ring: SeriesRing, nums: list, den: int, r, k: int) -> int:
+    """Multiply the series nums / den in place by (1 - r t^k), for
+    1 <= k < len(nums), and return the new denominator.  P_m -= r P_{m-k}
+    runs from the top coefficient down, so each P_{m-k} is read before it
+    changes.  Over F_p the numerators stay reduced over den = 1; over Q,
+    with r = a/b, nums <- b nums - a t^k nums and den <- b den."""
+    if not r:
+        return den
+    if ring.kind == GF:
+        p = ring.p
+        for m in range(len(nums) - 1, k - 1, -1):
+            nums[m] = (nums[m] - r * nums[m - k]) % p
+        return den
+    a, b = r.numerator, r.denominator
+    for m in range(len(nums) - 1, k - 1, -1):
+        nums[m] = b * nums[m] - a * nums[m - k]
+    if b != 1:
+        for m in range(k):
+            nums[m] *= b
+    return den * b
 
 
 def product_from_params(ring: SeriesRing, params, modulus: int) -> TruncSeries:
-    out = series_one(ring, modulus)
-    for n, r in enumerate(params, start=1):
-        if n >= modulus:
-            break
-        out = out * one_minus_rtn(ring, r, n, modulus)
-    return out
+    """prod_{n < modulus} (1 - r_n t^n) mod t^modulus; parameters past
+    r_{modulus-1} do not reach the truncation and are ignored."""
+    nums, den = [1] + [0] * (modulus - 1), 1
+    for k, r in zip(range(1, modulus), params):
+        den = _times_one_minus(ring, nums, den, ring.coerce(r), k)
+    return TruncSeries(ring, ring.frac(nums, den), modulus)
 
 
 def series_to_product_params(f: TruncSeries) -> tuple:
-    """The unique (r_1, ..., r_{N-1}) with prod (1 - r_n t^n) = f mod t^N,
-    peeled one coefficient at a time."""
+    """The unique (r_1, ..., r_{N-1}) with prod (1 - r_n t^n) = f mod t^N.
+    The partial product of the factors found so far agrees with f below
+    t^k, so r_k is its t^k coefficient minus f's; the factor 1 - r_k t^k
+    then enters the partial product as one sparse update."""
     if not f.congruent_one_mod_t():
         raise BadConstantTerm("series must have constant term 1")
-    n = f.modulus
+    ring, n = f.ring, f.modulus
     params = []
-    partial = series_one(f.ring, n)
+    nums, den = [1] + [0] * (n - 1), 1
     for k in range(1, n):
-        # partial = f + t^k * (...); the next parameter is that coefficient
-        r = f.ring.coerce(partial.coeffs[k] - f.coeffs[k])
+        r = ring.coerce(ring.frac(nums[k:k + 1], den)[0] - f.coeffs[k])
         params.append(r)
-        partial = partial * one_minus_rtn(f.ring, r, k, n)
+        den = _times_one_minus(ring, nums, den, r, k)
     return tuple(params)
 
 

@@ -1,5 +1,6 @@
 """Tits cone certificates, faces, sphericity, prenilpotency, intervals."""
 
+import collections
 import itertools
 import math
 import random
@@ -16,7 +17,7 @@ try:
 except ImportError:  # pragma: no cover - sympy is a test-only extra
     sympy = None
 
-from masure import cone
+from masure import cone, kmdata
 from masure.cone import (
     ConeError,
     FaceDescriptor,
@@ -555,6 +556,28 @@ def test_form_certificates_recheck(m, draw):
 def test_form_certificates_on_the_pool_datum():
     assert normalize_to_dominant(HYP, (1, 0, 0)) == NotInCone(SPACELIKE, 2)
     assert normalize_to_dominant(HYP, (1, 1, 1)) == NotInCone(PAST_NAPPE, 3)
+
+
+@pytest.mark.parametrize("rows", [POOL_HYPERBOLIC, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+                                  ((2, -2), (-2, 2)), ((2, -1), (-5, 2))],
+                         ids=["hyperbolic", "affine_A2", "affine_sl2", "rank2_1_5"])
+def test_form_and_delta_computed_once_per_matrix(rows, monkeypatch):
+    rng = random.Random(6)
+    data = minimal_realization(validate(rows))
+    vectors = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(data.rank))
+               for _ in range(40)]
+    # each answer on a fresh matrix, before the counters go in; only affine
+    # data reach the delta criterion, the others are decided before it
+    want = [normalize_to_dominant(minimal_realization(validate(rows)), v) for v in vectors]
+    affine = classify(validate(rows)) == KMClass.AFFINE
+    calls = collections.Counter()
+    for name in ("_lorentzian_form", "_delta_coefficients"):
+        def counted(a, name=name, compute=getattr(kmdata, name)):
+            calls[name] += 1
+            return compute(a)
+        monkeypatch.setattr(kmdata, name, counted)
+    assert [normalize_to_dominant(data, v) for v in vectors] == want
+    assert (calls["_lorentzian_form"], calls["_delta_coefficients"]) == (1, int(affine))
 
 
 elementary = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))

@@ -17,6 +17,7 @@ from masure.loop import (
     SeriesMatrix,
     SeriesRing,
     TruncSeries,
+    _times_one_minus,
     check_binomial_specialization,
     check_convolution,
     exp_imaginary,
@@ -24,7 +25,12 @@ from masure.loop import (
     gm_poly,
     matrix_identity,
     one_minus_rtn,
+    poly_add,
+    poly_const,
+    poly_mul,
+    poly_scale,
     poly_str,
+    poly_var,
     poly_total_degree,
     product_from_params,
     series,
@@ -43,6 +49,17 @@ RQ = SeriesRing(QQ)
 HALF = Fraction(1, 2)
 
 
+def _recurrence_gm(n):
+    """L_n by n L_n = sum_{p=1}^{n} Z_p L_{n-p} over the sparse polynomials."""
+    table = [poly_const(1)]
+    for m in range(1, n + 1):
+        acc = {}
+        for p in range(1, m + 1):
+            acc = poly_add(acc, poly_mul(poly_var(p), table[m - p]))
+        table.append(poly_scale(acc, Fraction(1, m)))
+    return table[n]
+
+
 class TestPolynomials:
     def test_first_values(self):
         assert gm_poly(0) == {(): 1}
@@ -51,9 +68,15 @@ class TestPolynomials:
         assert gm_poly(3) == {(3,): Fraction(1, 6), (1, 1): HALF,
                               (0, 0, 1): Fraction(1, 3)}
 
-    def test_recurrence_equals_generating_function(self):
-        for n in range(13):
+    def test_partition_sum_equals_generating_function(self):
+        for n in range(15):
             assert gm_poly(n) == gm_from_generating_function(n)
+
+    def test_partition_sum_repr_matches_recurrence(self):
+        # lex order of the non-decreasing part sequences is the recurrence's
+        # insertion order, so even the dict order agrees
+        for n in range(17):
+            assert repr(gm_poly(n)) == repr(_recurrence_gm(n))
 
     def test_weighted_homogeneity(self):
         for n in range(1, 10):
@@ -388,3 +411,85 @@ def test_lift_and_frac(data):
         want = tuple(c * pow(den * ratio ** k, ring.p - 2, ring.p) % ring.p
                      for k, c in enumerate(nums))
     assert got == want and _reduced(ring, got)
+
+
+# ---------------------------------------------------------------------------
+# sparse factor updates against the general product, one factor at a time
+
+def _general_product(ring, params, n):
+    out = series_one(ring, n)
+    for k, r in enumerate(params, start=1):
+        if k >= n:
+            break
+        out = out * one_minus_rtn(ring, r, k, n)
+    return out
+
+
+def _general_params(f):
+    n = f.modulus
+    params = []
+    partial = series_one(f.ring, n)
+    for k in range(1, n):
+        r = f.ring.coerce(partial.coeffs[k] - f.coeffs[k])
+        params.append(r)
+        partial = partial * one_minus_rtn(f.ring, r, k, n)
+    return tuple(params)
+
+
+@st.composite
+def _param_tuples(draw):
+    """Parameters with many zeros, up to four more than modulus - 1."""
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    n = draw(st.integers(1, 24))
+    params = draw(st.lists(st.just(0) | _coefficient(ring), max_size=n + 3))
+    return ring, n, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_factor_update_matches_general_product(data):
+    ring = data.draw(st.sampled_from(PROPERTY_RINGS))
+    n = data.draw(st.integers(2, 24))
+    k = data.draw(st.integers(1, n - 1))
+    r = ring.coerce(data.draw(_coefficient(ring)))
+    f = series(ring, data.draw(_coeff_lists(ring, n)), n)
+    nums, den = ring.lift(f.coeffs)
+    nums = list(nums)
+    den = _times_one_minus(ring, nums, den, r, k)
+    assert ring.frac(nums, den) == (f * one_minus_rtn(ring, r, k, n)).coeffs
+    # over F_p the numerators stay reduced, so they do not grow with the factors
+    assert ring.kind == QQ or (den == 1 and _reduced(ring, nums))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_param_tuples())
+def test_product_from_params_matches_general_product(case):
+    ring, n, params = case
+    got = product_from_params(ring, params, n)
+    want = _general_product(ring, params, n)
+    assert got == want and repr(got.coeffs) == repr(want.coeffs)
+    assert _reduced(ring, got.coeffs)
+    # the product of those factors peels back into the same parameters
+    assert series_to_product_params(want) == _general_params(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_mod_t())
+def test_series_to_product_params_matches_general_product(case):
+    ring, n, f = case
+    got = series_to_product_params(f)
+    assert repr(got) == repr(_general_params(f))
+    assert _reduced(ring, got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exp_imaginary_is_the_inverse(data):
+    ring = data.draw(st.sampled_from(PROPERTY_RINGS))
+    n = data.draw(st.integers(1, 24))
+    s = data.draw(st.integers(1, 26))
+    r = data.draw(st.just(0) | _coefficient(ring))
+    m = exp_imaginary(ring, r, s, n)
+    low = one_minus_rtn(ring, r, s, n)
+    assert m.a == low.inverse() and m.d == low
+    assert _reduced(ring, m.a.coeffs)
