@@ -401,10 +401,10 @@ def _cmd_hecke(args) -> int:
     return 0 if report.verified else 1
 
 
-# The largest index gm accepts: L_n has one monomial per partition of n, so
-# the output grows about 1.2x per index.  The partition sum builds and prints
-# L_32 (8349 monomials) in about 0.15 s on a 2-core x86-64 VM under Python
-# 3.11.7, where the recurrence it replaced took 3.4 s.
+# The largest index gm accepts.  L_n has one monomial per partition of n, so
+# the printed output grows about 1.2x per index; the cap bounds it at the
+# 8349 monomials of L_32, which the partition sum builds and prints in about
+# 0.15 s on a 2-core x86-64 VM under Python 3.11.7.
 GM_MAX_N = 32
 
 

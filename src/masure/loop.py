@@ -445,18 +445,12 @@ def matrix_identity(ring: SeriesRing, modulus: int) -> SeriesMatrix:
 
 
 def exp_imaginary(ring: SeriesRing, r, s: int, modulus: int) -> SeriesMatrix:
-    """diag(1/(1 - r t^s), 1 - r t^s) truncated at the modulus, the first
-    entry built as the geometric series sum_j r^j t^(sj)."""
+    """diag(1/(1 - r t^s), 1 - r t^s) truncated at the modulus."""
     if s < 1:
         raise LoopError("imaginary direction index must be >= 1")
-    r = ring.coerce(r)
-    geometric = [0] * modulus
-    power = ring.coerce(1)
-    for m in range(0, modulus, s):
-        geometric[m] = power
-        power = ring.coerce(power * r)
-    return SeriesMatrix(TruncSeries(ring, tuple(geometric), modulus), series_zero(ring, modulus),
-                        series_zero(ring, modulus), one_minus_rtn(ring, r, s, modulus))
+    low = one_minus_rtn(ring, r, s, modulus)
+    return SeriesMatrix(low.inverse(), series_zero(ring, modulus),
+                        series_zero(ring, modulus), low)
 
 
 def _times_one_minus(ring: SeriesRing, nums: list, den: int, r, k: int) -> int:
