@@ -232,22 +232,18 @@ def _find_root(data: kmdata.KacMoodyData, text: str) -> weyl.RealRoot:
 
 
 def _cmd_prenilpotent(args) -> int:
-    if args.bound < 0:
-        raise UsageError(f"--bound must be >= 0, got {args.bound}")
     data = _data_arg(args.data)
     alpha = _find_root(data, args.alpha)
     beta = _find_root(data, args.beta)
-    v = cone.prenilpotent_pair(data, alpha, beta, args.bound)
+    v = cone.prenilpotent_pair(data, alpha, beta)
     if isinstance(v, cone.Prenilpotent):
-        interval = cone.closed_interval(data, alpha, beta, args.bound)
+        interval = cone.closed_interval(data, alpha, beta)
         obj = {"verdict": "prenilpotent",
                "to_positive": list(v.to_positive.word),
                "to_negative": list(v.to_negative.word),
                "closed_interval": [list(r.coeffs) for r in interval]}
-    elif isinstance(v, cone.NotPrenilpotent):
-        obj = {"verdict": "not_prenilpotent", "reason": v.reason}
     else:
-        obj = {"verdict": "unknown", "bound": v.bound}
+        obj = {"verdict": "not_prenilpotent", "reason": v.reason}
     _emit(obj, True)
     return 0
 
@@ -522,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--alpha", required=True, help="root coordinates")
     p.add_argument("--beta", required=True)
-    p.add_argument("--bound", type=int, default=8)
     p.set_defaults(fn=_cmd_prenilpotent)
 
     p = sub.add_parser("tree", help="Bruhat-Tits tree operations")

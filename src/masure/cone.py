@@ -28,12 +28,15 @@ from .kmdata import (
     decompose,
     delta_coefficients,
     lorentzian_form,
+    simple_root_vector,
 )
 from .weyl import (
     RealRoot,
     WeylElement,
     all_elements_up_to_length,
     inversion_set,
+    length_and_reduce,
+    reflection,
     simple_reflect,
     weyl_element,
 )
@@ -202,12 +205,10 @@ class UnknownWithinBound:
     bound: int
 
 
-Verdict = Prenilpotent | NotPrenilpotent | UnknownWithinBound
-
-
 def search_prenilpotent(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
-                        max_len: int) -> Verdict:
+                        max_len: int) -> Prenilpotent | UnknownWithinBound:
     """Pure word search: conclusive only when both witnesses are found.
+    The reference that prenilpotent_pair is checked against.
 
     One BFS pass over the elements of length <= max_len keeps the first
     that sends both roots into Delta_+ and the first that sends both into
@@ -225,58 +226,66 @@ def search_prenilpotent(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
     return UnknownWithinBound(max_len)
 
 
-def _witnesses_or_raise(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
-                        start: int) -> Prenilpotent:
-    """Unbounded-in-principle BFS for the two witnesses of a pair already
-    known prenilpotent from the pairing rule; widens the length bound."""
-    for bound in range(start, start + 25, 4):
-        verdict = search_prenilpotent(data, alpha, beta, bound)
-        if isinstance(verdict, Prenilpotent):
-            return verdict
-    raise ConeError("witness search exhausted for a closed-form prenilpotent pair")
-
-
-_NOT_PRENILPOTENT = {
-    KMClass.FINITE: "beta = -alpha",
-    KMClass.AFFINE: "opposite finite parts",
-    KMClass.INDEFINITE: "no cone between the eigenlines is shared",
-}
-
-
 def prenilpotent_pair(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
-                      bound: int = 8) -> Verdict:
-    """One pairing rule for finite, affine and rank-2 indefinite data, else
-    bounded word search.
-
-    With ab = alpha(beta^vee) and ba = beta(alpha^vee), the pair is not
-    prenilpotent iff ab < 0 and ab * ba >= 4.  If ab * ba < 4, r_alpha and
-    r_beta generate a finite group, whose walls meet inside the open Tits
-    cone, so every sign pattern of (alpha, beta) occurs there.  Otherwise
-    they generate an infinite dihedral group, and exactly one of {alpha,
-    beta} and {alpha, -beta} is prenilpotent: the one with ab > 0.  On
-    finite data this says alpha != -beta, on affine data that the finite
-    parts are not negatively proportional.  The rule reads only A and the
-    pairings, so it holds in every realization.
+                      bound: int = 8) -> Prenilpotent | NotPrenilpotent:
+    """With ab = alpha(beta^vee) and ba = beta(alpha^vee), the pair is not
+    prenilpotent iff ab < 0 and ab * ba >= 4; witnesses come from D =
+    <r_alpha, r_beta>.  If ab * ba < 4, D is finite of order 2m and fixes a
+    point of the open Tits cone (a point of the cone is interior iff its
+    stabilizer is finite: Kac, Infinite-dimensional Lie algebras, Prop.
+    3.12); the D-images of the fundamental chamber fill the 2m sectors
+    around it, so the words of length <= m from either side give every sign
+    pattern.  Otherwise only ab > 0 is prenilpotent, and one reflection is
+    enough: for alpha, beta > 0, beta - ba alpha and alpha - ab beta are not
+    both positive (else alpha >= ab ba alpha >= 4 alpha); for alpha > 0 >
+    beta, r_beta sends both roots into Delta_+ and r_alpha both into
+    Delta_-.  The rule reads only A and the pairings, so it holds in every
+    realization and rank.  ``bound`` is unused: nothing is searched for.
     """
-    kind = classify(data.matrix)
-    if kind == KMClass.INDEFINITE and data.n > 2:
-        return search_prenilpotent(data, alpha, beta, bound)
     ab = data.eval_root(alpha.root, beta.coroot)
-    if ab < 0 and ab * data.eval_root(beta.root, alpha.coroot) >= 4:
-        return NotPrenilpotent(_NOT_PRENILPOTENT[kind])
-    return _witnesses_or_raise(data, alpha, beta, bound)
+    ba = data.eval_root(beta.root, alpha.coroot)
+    if ab < 0 and ab * ba >= 4:
+        return NotPrenilpotent(f"alpha(beta^vee) = {ab} and beta(alpha^vee) = {ba}: "
+                               "negative, with product >= 4")
+    m = {0: 2, 1: 3, 2: 4, 3: 6}.get(ab * ba, 1)  # |D| = 2m when ab * ba < 4
+    refl = (reflection(data, alpha), reflection(data, beta))
+    # (word, images of alpha and beta) by length; walk[t + 1] extends walk[max(t - 1, 0)]
+    walk = [((), (alpha.root, beta.root))]
+    for t in range(2 * m):
+        r = refl[(t + t // 2) % 2]
+        word, images = walk[max(t - 1, 0)]
+        walk.append((r.word + word, tuple(r.act_root(v) for v in images)))
+    witnesses = [next((_shortened(data, word, images, sign) for word, images in walk
+                       if all(sign(v) for v in images)), None)
+                 for sign in (RootVector.is_positive, RootVector.is_negative)]
+    if None in witnesses:  # pragma: no cover - the walk reaches every sign pattern
+        raise ConeError(f"no witness among the {len(walk)} words of <r_alpha, r_beta>")
+    return Prenilpotent(*witnesses)
+
+
+def _shortened(data: KacMoodyData, word, images, sign) -> WeylElement:
+    """w = word, reduced, less the left letters r_i whose removal keeps each w(gamma) in sign."""
+    _, word = length_and_reduce(data, word)
+    k = 0
+    for i in word:
+        alpha_i = simple_root_vector(data.n, i)
+        moved = [v - alpha_i.scale(sum(a * x for a, x in zip(data.matrix.entries[i], v.coeffs)))
+                 for v in images]
+        if not all(sign(v) for v in moved):
+            break
+        images, k = moved, k + 1
+    return weyl_element(data, word[k:])
 
 
 def closed_interval(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
                     bound: int = 8) -> list[RootVector]:
     """[alpha, beta] = {alpha, beta} plus the real roots p*alpha + q*beta
     with p, q >= 1.  Droppable candidates are bounded through the witness
-    pair: every combination lands in Inv(w_neg w_pos^{-1})."""
-    verdict = prenilpotent_pair(data, alpha, beta, bound)
+    pair: every combination lands in Inv(w_neg w_pos^{-1}).  ``bound`` is
+    unused, as in prenilpotent_pair."""
+    verdict = prenilpotent_pair(data, alpha, beta)
     if isinstance(verdict, NotPrenilpotent):
         raise PairNotPrenilpotent(verdict.reason)
-    if isinstance(verdict, UnknownWithinBound):
-        raise PairNotPrenilpotent(f"prenilpotency unknown within bound {verdict.bound}")
     if alpha.root == beta.root:
         return [alpha.root]
     out = [alpha.root, beta.root]

@@ -415,7 +415,11 @@ class SeriesMatrix:
     d: TruncSeries
 
     def __post_init__(self) -> None:
-        det = self.a * self.d - self.b * self.c
+        self.a._check(self.b)
+        self.b._check(self.c)
+        det = self.a * self.d
+        if any(self.b.coeffs) and any(self.c.coeffs):  # else triangular: b*c = 0
+            det = det - self.b * self.c
         if det != series_one(det.ring, det.modulus):
             raise LoopError("determinant is not 1 at this modulus")
 

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from test_cone import apply_word
 
 from masure.cli import BALL_MAX_VERTICES, GM_MAX_N, _ball_size, main
 from masure.fields import parse_field
@@ -249,10 +250,6 @@ class TestAlgebraCommands:
         expected = weyl_element(affine_sl2_data(), (0, 1)).y_mat
         assert code == 0 and json.loads(out)["action_on_y"] == [list(r) for r in expected]
 
-    def test_prenilpotent_negative_bound(self, capsys):
-        assert_usage_error(*run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-1],[-1,2]]}',
-                                "--alpha", "1,0", "--beta", "0,1", "--bound", "-1"))
-
     def test_prenilpotent(self, capsys):
         code, out, _ = run(capsys, "prenilpotent", "--data",
                            '{"matrix": [[2,-1],[-1,2]]}',
@@ -285,7 +282,8 @@ class TestAlgebraCommands:
         argv = ("--alpha", "1,0", "--beta=-1,-1")
         got = run(capsys, "prenilpotent", "--data", self.RANK3_REALIZATION, *argv)
         assert got[0] == 0 and json.loads(got[1]) == {
-            "verdict": "not_prenilpotent", "reason": "no cone between the eigenlines is shared"}
+            "verdict": "not_prenilpotent",
+            "reason": "alpha(beta^vee) = -5 and beta(alpha^vee) = -1: negative, with product >= 4"}
         assert run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-1],[-5,2]]}', *argv) == got
 
     def test_prenilpotent_high_root(self, capsys):
@@ -293,7 +291,19 @@ class TestAlgebraCommands:
         code, out, _ = run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-2],[-2,2]]}',
                            "--alpha", "10000,10001", "--beta", "1,0")
         assert code == 0
-        assert json.loads(out) == {"verdict": "not_prenilpotent", "reason": "opposite finite parts"}
+        assert json.loads(out) == {
+            "verdict": "not_prenilpotent",
+            "reason": "alpha(beta^vee) = -2 and beta(alpha^vee) = -2: negative, with product >= 4"}
+
+    def test_prenilpotent_witnesses_of_a_high_root(self, capsys):
+        # one reflection is a witness; no word search has to reach its length
+        code, out, _ = run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-2],[-2,2]]}',
+                           "--alpha", "50,51", "--beta", "0,1")
+        obj = json.loads(out)
+        assert code == 0 and obj["verdict"] == "prenilpotent"
+        for root in ((50, 51), (0, 1)):
+            assert min(apply_word([[2, -2], [-2, 2]], obj["to_positive"], root)) >= 0
+            assert max(apply_word([[2, -2], [-2, 2]], obj["to_negative"], root)) <= 0
 
     @pytest.mark.parametrize("alpha", ["2,0", "1,-1", "0,0", "3,1"])
     def test_prenilpotent_not_a_root(self, capsys, alpha):
@@ -313,7 +323,7 @@ class TestAlgebraCommands:
 
     @pytest.mark.parametrize("data, alpha, beta, to_negative", [
         (TWISTED, "1,0", "1,1", [1, 0]),
-        (C21, "0,0,1", "1,1,0", [2, 1, 2, 1, 0]),
+        (C21, "0,0,1", "1,1,0", [2, 0, 1, 2, 1, 0]),
     ])
     def test_prenilpotent_non_symmetric_affine(self, capsys, data, alpha, beta, to_negative):
         code, out, _ = run(capsys, "prenilpotent", "--data", data, "--alpha", alpha,
@@ -326,7 +336,9 @@ class TestAlgebraCommands:
         code, out, _ = run(capsys, "prenilpotent", "--data", self.TWISTED,
                            "--alpha", "1,0", "--beta", "0,1")
         assert code == 0
-        assert json.loads(out) == {"verdict": "not_prenilpotent", "reason": "opposite finite parts"}
+        assert json.loads(out) == {
+            "verdict": "not_prenilpotent",
+            "reason": "alpha(beta^vee) = -4 and beta(alpha^vee) = -1: negative, with product >= 4"}
 
     @pytest.mark.parametrize("data, vector", [(TWISTED, "-3,0,1"), (C21, "-3,-2,-3,1")])
     def test_cone_non_symmetric_affine_not_refuted(self, capsys, data, vector):

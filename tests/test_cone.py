@@ -19,7 +19,6 @@ except ImportError:  # pragma: no cover - sympy is a test-only extra
 
 from masure import cone, kmdata
 from masure.cone import (
-    ConeError,
     FaceDescriptor,
     InCone,
     NotInCone,
@@ -665,63 +664,12 @@ def old_search_prenilpotent(data, alpha, beta, max_len):
     return UnknownWithinBound(max_len)
 
 
-def old_witnesses_or_raise(data, alpha, beta, start):
-    bound = start
-    while bound <= start + 24:
-        wp = old_search_witness(data, [alpha.root, beta.root], True, bound)
-        wn = old_search_witness(data, [alpha.root, beta.root], False, bound)
-        if wp is not None and wn is not None:
-            return Prenilpotent(wp, wn)
-        bound += 4
-    raise ConeError("witness search exhausted for a closed-form prenilpotent pair")
-
-
-def old_affine_finite_part(data, v):
-    delta = delta_coefficients(data)
-    if delta is None:
-        return None
-    node = next((i for i, c in enumerate(delta) if c == 1), None)
-    if node is None:
-        return None
-    k = Fraction(v.coeffs[node], delta[node])
-    if k.denominator != 1:
-        return None
-    k = int(k)
-    return tuple(v.coeffs[i] - k * delta[i] for i in range(data.n) if i != node)
-
-
-def old_prenilpotent_pair(data, alpha, beta, bound):
-    kind = classify(data.matrix)
-    if kind == KMClass.FINITE:
-        if alpha.root == -beta.root:
-            return NotPrenilpotent("beta = -alpha")
-        return old_witnesses_or_raise(data, alpha, beta, bound)
-    if kind == KMClass.AFFINE:
-        fa = old_affine_finite_part(data, alpha.root)
-        fb = old_affine_finite_part(data, beta.root)
-        if fa is not None and fb is not None:
-            if tuple(-x for x in fa) == fb:
-                return NotPrenilpotent("opposite finite parts")
-            return old_witnesses_or_raise(data, alpha, beta, bound)
-        return old_search_prenilpotent(data, alpha, beta, bound)
-    if kind == KMClass.INDEFINITE and data.n == 2:
-        sa, sb = (sum(c * data.matrix[0, j] for j, c in enumerate(r.root.coeffs))
-                  for r in (alpha, beta))
-        if sa * sb > 0:
-            return old_witnesses_or_raise(data, alpha, beta, bound)
-        return NotPrenilpotent("no cone between the eigenlines is shared")
-    return old_search_prenilpotent(data, alpha, beta, bound)
-
-
 def _outcome(fn, *args):
-    """The verdict's type, reason and witness words, or the error raised."""
-    try:
-        v = fn(*args)
-    except ConeError as exc:
-        return ConeError, str(exc)
+    """The verdict's type and witness words, or its bound."""
+    v = fn(*args)
     if isinstance(v, Prenilpotent):
         return Prenilpotent, v.to_positive.word, v.to_negative.word
-    return type(v), getattr(v, "reason", None), getattr(v, "bound", None)
+    return type(v), v.bound
 
 
 COXETER_POOL = {
@@ -757,9 +705,6 @@ def test_one_pass_search_matches_two_scans(key, i, j, bound):
     data, roots = WITNESS_DATA[key], _roots_for_witnesses(key)
     alpha, beta = roots[i % len(roots)], roots[j % len(roots)]
     bound = min(bound, 8 if data.n == 2 else 6)
-    if key not in ((1, 4), (4, 1)):  # the old closed form was wrong on A_2^(2)
-        assert (_outcome(prenilpotent_pair, data, alpha, beta, bound)
-                == _outcome(old_prenilpotent_pair, data, alpha, beta, bound))
     assert (_outcome(search_prenilpotent, data, alpha, beta, bound)
             == _outcome(old_search_prenilpotent, data, alpha, beta, bound))
 
@@ -808,3 +753,93 @@ def test_small_cap_refutation_holds_at_default_cap(k, x, last, cap):
     inessential = all(data.pair(root, v) == 0 for root in data.simple_roots)
     assert isinstance(full, InCone) == (last > 0 or inessential)
     assert not (isinstance(small, NotInCone) and isinstance(full, InCone))
+
+
+# ---------------------------------------------------------------------------
+# indefinite data of rank 3 and 4: the pairing rule against the word search,
+# its constructed witnesses, and closed intervals against a brute force
+
+def apply_word(rows, word, coeffs):
+    """r_{i_1} ... r_{i_k} on root coordinates, r_{i_k} first, with
+    r_i(v) = v - (sum_j a_ij v_j) alpha_i."""
+    v = list(coeffs)
+    for i in reversed(word):
+        v[i] -= sum(a * x for a, x in zip(rows[i], v))
+    return v
+
+
+# (a_ij, a_ji) for i < j: products 0 to 3 (finite dihedral), 4 and beyond;
+# unequal ones around a cycle make the matrix non-symmetrizable
+OFF_DIAGONAL = [(0, 0), (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2),
+                (-1, -4), (-4, -1), (-2, -3), (-3, -2), (-1, -5)]
+
+
+@st.composite
+def indefinite_gcms(draw):
+    n = draw(st.sampled_from((3, 4)))
+    rows = [[2] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j], rows[j][i] = draw(st.sampled_from(OFF_DIAGONAL))
+    return rows
+
+
+G2_BLOCK = [[2, -1, 0], [-3, 2, -1], [0, -1, 2]]
+NON_SYMMETRIZABLE = [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(indefinite_gcms(), st.integers(0, 10**6), st.integers(0, 10**6))
+@example(G2_BLOCK, 4, 2)  # alpha_0, alpha_1: ab * ba = 3, D of order 12
+@example(G2_BLOCK, 4, 3)  # alpha_0, -alpha_1
+@example([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]], 4, 2)  # alpha_0, alpha_1: ab * ba = 4
+@example(NON_SYMMETRIZABLE, 0, 9)
+@example([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -2, 2]], 1, 12)
+def test_pairing_rule_and_witnesses_on_indefinite_data(rows, i, j):
+    # signed real roots of height <= 4; the search runs to length 6
+    data = minimal_realization(validate(rows))
+    roots = [s for r in enumerate_real_roots(data, 4).roots for s in (r, r.negate())]
+    alpha, beta = roots[i % len(roots)], roots[j % len(roots)]
+    verdict = prenilpotent_pair(data, alpha, beta)
+    if isinstance(search_prenilpotent(data, alpha, beta, 6), Prenilpotent):
+        assert isinstance(verdict, Prenilpotent)
+    if isinstance(verdict, Prenilpotent):
+        for root in (alpha.root, beta.root):
+            assert min(apply_word(rows, verdict.to_positive.word, root.coeffs)) >= 0
+            assert max(apply_word(rows, verdict.to_negative.word, root.coeffs)) <= 0
+
+
+def brute_interval(data, alpha, beta, cap):
+    """alpha, beta and every real root p alpha + q beta with p, q >= 1 and
+    p + q <= cap, each decided by find_real_root."""
+    out = {alpha.root.coeffs, beta.root.coeffs}
+    for p in range(1, cap):
+        for q in range(1, cap - p + 1):
+            v = alpha.root.scale(p) + beta.root.scale(q)
+            if find_real_root(data, v) is not None:
+                out.add(v.coeffs)
+    return sorted(out, key=lambda c: (sum(c), c))
+
+
+# pairs whose witnesses lie beyond length 8, where a word search to length 8
+# leaves prenilpotency unknown
+FAR_PAIRS = {
+    "hyperbolic": [((0, 0, 1), (-8, -9, 0)), ((1, 0, 0), (9, 8, 0)), ((0, 1, 0), (-9, -8, 0))],
+    "non-symmetrizable": [((2, 4, 1), (3, 3, 1)), ((4, 2, 3), (4, 3, 5))],
+}
+
+
+@pytest.mark.parametrize("name, rows", [("hyperbolic", POOL_HYPERBOLIC),
+                                        ("non-symmetrizable", NON_SYMMETRIZABLE)])
+def test_closed_interval_on_indefinite_rank3_data(name, rows):
+    data = minimal_realization(validate(rows))
+    pos = enumerate_real_roots(data, 4).roots
+    pairs = list(itertools.combinations([s for r in pos for s in (r, r.negate())], 2))
+    pairs += [tuple(find_real_root(data, RootVector(v)) for v in pair) for pair in FAR_PAIRS[name]]
+    checked = 0
+    for alpha, beta in pairs:
+        if isinstance(prenilpotent_pair(data, alpha, beta), NotPrenilpotent):
+            continue
+        got = [r.coeffs for r in closed_interval(data, alpha, beta)]
+        assert got == brute_interval(data, alpha, beta, 12)
+        checked += 1
+    assert checked > 50

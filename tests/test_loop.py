@@ -249,6 +249,21 @@ class TestUma:
         with pytest.raises(LoopError):
             SeriesMatrix(one, one, series(R2, (0, 1), 4), one)
 
+    @pytest.mark.parametrize("ring, a, b, c, d", [
+        (R2, (1, 1), (0,), (0,), (1,)),            # diagonal, det 1 + t
+        (R2, (1,), (0,), (0, 1), (1, 0, 1)),       # lower triangular, det 1 + t^2
+        (RQ, (1,), (0, 3), (0,), (2,)),            # upper triangular, det 2
+        (RQ, (Fraction(1, 2),), (0,), (0,), (2, 1)),  # diagonal, det 1 + t/2
+    ])
+    def test_det_enforced_on_triangular_matrices(self, ring, a, b, c, d):
+        with pytest.raises(LoopError, match="determinant"):
+            SeriesMatrix(*(series(ring, cs, 4) for cs in (a, b, c, d)))
+
+    def test_mixed_moduli_rejected_on_triangular_matrices(self):
+        one, zero = series_one(RQ, 4), series_zero(RQ, 5)
+        with pytest.raises(LoopError):
+            SeriesMatrix(one, zero, zero, one)
+
     def test_factor_roundtrip_unique(self):
         rng = random.Random(41)
         for ring in (R2, RQ):
