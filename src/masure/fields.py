@@ -1,34 +1,33 @@
 """Exact arithmetic in discretely valued fields with value group Z.
 
-Two backends are supported:
-
-* ``LaurentRational(p)`` -- the rational function field F_p(t) with the
-  t-adic valuation.  Elements are reduced fractions of polynomials over
-  F_p with monic denominator, so equality and valuation are exact.
-* ``PAdicRational(p)`` -- the rationals Q with the p-adic valuation.
-  Elements are ``fractions.Fraction`` in lowest terms.
+Both fields are fraction fields Frac(R) with the pi-adic valuation:
+``LaurentField(p)`` is F_p(t) = Frac(F_p[t]) with pi = t, and
+``PAdicField(p)`` is Q = Frac(Z) with pi = p.  An element is a pair
+(num, den) over R in lowest terms with a monic (F_p[t]) or positive (Z)
+denominator, so equality and valuation are exact.  The fraction arithmetic
+is written once, in ``FieldElement``, over the ring primitives of each
+``FieldConfig`` subclass.
 
 The valuation ring is O = {a : val(a) >= 0}, its maximal ideal
 m = {a : val(a) > 0}, and the residue field O/m is F_p in both backends.
 ``tail_reduce`` computes the canonical representative of a coset
 ``a + F_{>=cutoff}``: the finite sum of uniformizer powers of ``a`` with
-integer exponents strictly below the cutoff.  It is built in one step from
-the unit u = a / pi^v, v = val(a), truncated modulo pi^k, where k counts the
-exponents in [v, cutoff): over F_p(t) the first k power-series coefficients
-of u give ``t^v * (c_0 + ... + c_{k-1} t^{k-1})`` directly as a reduced
-fraction; over Q_p one modular inverse gives ``p^v * (u mod p^k)``.
-``Tail.digits`` reads its digits off the same truncation.
+integer exponents strictly below the cutoff.  It is built in one step as
+pi^v * (u mod pi^k), with v = val(a), the unit u = a / pi^v and k the number
+of exponents in [v, cutoff); ``Tail.digits`` reads its base-p digits off the
+same truncation.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import ClassVar
 
 INF = float("inf")  # valuation of 0
-
-Valuation = int | float  # exact integer, or INF for the zero element
 
 Poly = tuple[int, ...]  # dense coefficients over F_p, low degree first, no trailing zeros
 
@@ -75,31 +74,6 @@ def _trim(c: list[int]) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def poly_add(a: Poly, b: Poly, p: int) -> Poly:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return _trim(out)
-
-
-def poly_neg(a: Poly, p: int) -> Poly:
-    return tuple((-x) % p for x in a)
-
-
-def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
 
 
 def poly_divmod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
@@ -151,32 +125,35 @@ def _poly_series_coeffs(num: Poly, den: Poly, n: int, p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# field configuration and elements
-
-LAURENT = "laurent"
-PADIC = "padic"
-
+# fields Frac(R) and their elements
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """A discretely valued field, value group normalized to Z."""
+    """A discretely valued field Frac(R), value group normalized to Z.
 
-    kind: str  # LAURENT or PADIC
+    A subclass supplies R and its prime pi: ``_zero``, ``_one``, ``_embed``
+    (of an int), ``_pi_pow`` (pi^k, k >= 0), ``_add``, ``_mul``, ``_neg``,
+    ``_reduce`` (a pair with nonzero numerator to canonical form), ``_ord``
+    (pi-order), ``_unit_mod`` (a / pi^val(a) mod pi^k), ``_digits`` (the
+    base-p digits of such a residue) and ``_str`` (the text of a pair).
+    """
+
+    kind: ClassVar[str]  # backend label, read by tracing tools only
     p: int
 
     def __post_init__(self) -> None:
-        if self.kind not in (LAURENT, PADIC):
-            raise FieldError(f"unknown backend {self.kind!r}")
+        if type(self) is FieldConfig:
+            raise FieldError("no ring: use FieldConfig.laurent(p) or FieldConfig.padic(p)")
         if not is_prime(self.p):
             raise FieldError(f"residue characteristic {self.p} is not prime")
 
     @staticmethod
     def laurent(p: int) -> "FieldConfig":
-        return FieldConfig(LAURENT, p)
+        return LaurentField(p)
 
     @staticmethod
     def padic(p: int) -> "FieldConfig":
-        return FieldConfig(PADIC, p)
+        return PAdicField(p)
 
     def zero(self) -> "FieldElement":
         return self.from_int(0)
@@ -185,61 +162,141 @@ class FieldConfig:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "FieldElement":
-        if self.kind == LAURENT:
-            c = n % self.p
-            return FieldElement(self, ((c,) if c else (), (1,)))
-        return FieldElement(self, Fraction(n))
+        return FieldElement(self, (self._embed(n), self._one))
 
     def from_fraction(self, q: Fraction) -> "FieldElement":
-        if self.kind == PADIC:
-            return FieldElement(self, Fraction(q))
-        num = self.from_int(q.numerator)
-        den = self.from_int(q.denominator)
-        return num / den
+        return FieldElement(self, (self._embed(q.numerator), self._embed(q.denominator)))
 
     def uniformizer_pow(self, k: int) -> "FieldElement":
         """t^k resp. p^k; any integer k."""
-        if self.kind == LAURENT:
-            if k >= 0:
-                return FieldElement(self, ((0,) * k + (1,), (1,)))
-            return FieldElement(self, ((1,), (0,) * (-k) + (1,)))
-        return FieldElement(self, Fraction(self.p) ** k)
+        pk = self._pi_pow(abs(k))
+        return FieldElement(self, (pk, self._one) if k >= 0 else (self._one, pk))
 
     def monomial(self, coeff: int, exp: int) -> "FieldElement":
         """coeff * t^exp resp. coeff * p^exp."""
         return self.from_int(coeff) * self.uniformizer_pow(exp)
 
+
+class LaurentField(FieldConfig):
+    """F_p(t) = Frac(F_p[t]) with the t-adic valuation."""
+
+    kind = "laurent"
+    _zero = ()
+    _one = (1,)
+    _ord = staticmethod(poly_ord)
+
+    def _embed(self, n: int) -> Poly:
+        c = n % self.p
+        return (c,) if c else ()
+
+    def _pi_pow(self, k: int) -> Poly:
+        return (0,) * k + (1,)
+
+    def _add(self, a: Poly, b: Poly) -> Poly:
+        if len(a) < len(b):
+            a, b = b, a
+        p, n = self.p, len(b)
+        return _trim([(x + b[i]) % p if i < n else x for i, x in enumerate(a)])
+
+    def _mul(self, a: Poly, b: Poly) -> Poly:
+        if not a or not b:
+            return ()
+        p = self.p
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = (out[i + j] + x * y) % p
+        return _trim(out)
+
+    def _neg(self, a: Poly) -> Poly:
+        return tuple((-x) % self.p for x in a)
+
+    def _reduce(self, num: Poly, den: Poly) -> tuple[Poly, Poly]:
+        p = self.p
+        g = poly_gcd(num, den, p)
+        if g != (1,):
+            num = poly_divmod(num, g, p)[0]
+            den = poly_divmod(den, g, p)[0]
+        if den[-1] != 1:  # monic denominator
+            inv = pow(den[-1], p - 2, p)
+            num = tuple((x * inv) % p for x in num)
+            den = tuple((x * inv) % p for x in den)
+        return num, den
+
+    def _unit_mod(self, num: Poly, den: Poly, k: int) -> Poly:
+        return _trim(_poly_series_coeffs(num[poly_ord(num):], den[poly_ord(den):], k, self.p))
+
+    def _digits(self, r: Poly) -> Poly:
+        return r
+
+    def _str(self, num: Poly, den: Poly) -> str:
+        return f"({poly_to_str(num)})/({poly_to_str(den)}) mod {self.p}"
+
     def __str__(self) -> str:
-        return f"F{self.p}(t)" if self.kind == LAURENT else f"Q{self.p}"
+        return f"F{self.p}(t)"
+
+
+class PAdicField(FieldConfig):
+    """Q = Frac(Z) with the p-adic valuation."""
+
+    kind = "padic"
+    _zero = 0
+    _one = 1
+    _add = operator.add
+    _mul = operator.mul
+    _neg = operator.neg
+    _embed = int
+
+    def _pi_pow(self, k: int) -> int:
+        return self.p ** k
+
+    def _reduce(self, num: int, den: int) -> tuple[int, int]:
+        g = gcd(num, den)
+        if den < 0:  # positive denominator
+            g = -g
+        return (num // g, den // g) if g != 1 else (num, den)
+
+    def _ord(self, n: int) -> int:
+        v, p = 0, self.p
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    def _unit_mod(self, num: int, den: int, k: int) -> int:
+        p = self.p
+        mod = p ** k
+        return num // p ** self._ord(num) * pow(den // p ** self._ord(den), -1, mod) % mod
+
+    def _digits(self, r: int) -> list[int]:
+        out = []
+        while r:
+            r, d = divmod(r, self.p)
+            out.append(d)
+        return out
+
+    def _str(self, num: int, den: int) -> str:
+        return f"{num}/{den} @ p={self.p}"
+
+    def __str__(self) -> str:
+        return f"Q{self.p}"
 
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Element of F_p(t) or of Q, in a canonical form unique per value."""
+    """Element num/den of Frac(R), in lowest terms with normalized
+    denominator: a canonical form unique per value."""
 
     config: FieldConfig
-    value: object  # (num, den) Poly pair for LAURENT, Fraction for PADIC
+    value: tuple  # (num, den) over the config's ring
 
     def __post_init__(self) -> None:
-        if self.config.kind == LAURENT:
-            num, den = self.value
-            p = self.config.p
-            if not den:
-                raise DivisionByZero("zero denominator")
-            if not num:
-                object.__setattr__(self, "value", ((), (1,)))
-                return
-            g = poly_gcd(num, den, p)
-            if len(g) > 1 or (g and g != (1,)):
-                num = poly_divmod(num, g, p)[0]
-                den = poly_divmod(den, g, p)[0]
-            if den[-1] != 1:  # monic denominator
-                inv = pow(den[-1], p - 2, p)
-                num = tuple((x * inv) % p for x in num)
-                den = tuple((x * inv) % p for x in den)
-            object.__setattr__(self, "value", (num, den))
-        else:
-            object.__setattr__(self, "value", Fraction(self.value))
+        num, den = self.value
+        if not den:
+            raise DivisionByZero("zero denominator")
+        cfg = self.config
+        object.__setattr__(self, "value", cfg._reduce(num, den) if num else (cfg._zero, cfg._one))
 
     # -- ring structure -----------------------------------------------------
 
@@ -248,41 +305,30 @@ class FieldElement:
             raise FieldError("mixed field configurations")
 
     def is_zero(self) -> bool:
-        if self.config.kind == LAURENT:
-            return not self.value[0]
-        return self.value == 0
+        return not self.value[0]
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        if self.config.kind == PADIC:
-            return FieldElement(self.config, self.value + other.value)
-        p = self.config.p
+        cfg = self.config
         (n1, d1), (n2, d2) = self.value, other.value
-        num = poly_add(poly_mul(n1, d2, p), poly_mul(n2, d1, p), p)
-        return FieldElement(self.config, (num, poly_mul(d1, d2, p)))
+        return FieldElement(cfg, (cfg._add(cfg._mul(n1, d2), cfg._mul(n2, d1)), cfg._mul(d1, d2)))
 
     def __neg__(self) -> "FieldElement":
-        if self.config.kind == PADIC:
-            return FieldElement(self.config, -self.value)
         num, den = self.value
-        return FieldElement(self.config, (poly_neg(num, self.config.p), den))
+        return FieldElement(self.config, (self.config._neg(num), den))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        if self.config.kind == PADIC:
-            return FieldElement(self.config, self.value * other.value)
-        p = self.config.p
+        cfg = self.config
         (n1, d1), (n2, d2) = self.value, other.value
-        return FieldElement(self.config, (poly_mul(n1, n2, p), poly_mul(d1, d2, p)))
+        return FieldElement(cfg, (cfg._mul(n1, n2), cfg._mul(d1, d2)))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if self.config.kind == PADIC:
-            return FieldElement(self.config, 1 / self.value)
         num, den = self.value
         return FieldElement(self.config, (den, num))
 
@@ -293,46 +339,20 @@ class FieldElement:
         """Exact t-adic / p-adic order; INF iff the element is zero."""
         if self.is_zero():
             return INF
-        if self.config.kind == LAURENT:
-            num, den = self.value
-            return poly_ord(num) - poly_ord(den)
-        v, n = 0, self.value.numerator
-        p = self.config.p
-        while n % p == 0:
-            n //= p
-            v += 1
-        d = self.value.denominator
-        while d % p == 0:
-            d //= p
-            v -= 1
-        return v
+        num, den = self.value
+        return self.config._ord(num) - self.config._ord(den)
 
     def residue(self) -> int:
         """Image in O/m = F_p; requires valuation >= 0."""
         v = self.valuation()
-        if v is INF:
-            return 0
         if v < 0:
             raise NegativeValuation(f"valuation {v} < 0 has no residue")
-        p = self.config.p
-        if self.config.kind == LAURENT:
-            if v > 0:
-                return 0
-            num, den = self.value
-            # reduced form with ord(num) = 0 forces ord(den) = 0
-            return (num[0] * pow(den[0], p - 2, p)) % p
-        if v > 0:
-            return 0
-        n, d = self.value.numerator, self.value.denominator
-        return (n * pow(d, p - 2, p)) % p
+        return Tail(self, 1).digits().get(0, 0)
 
     # -- formatting ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.config.kind == PADIC:
-            return f"{self.value.numerator}/{self.value.denominator} @ p={self.config.p}"
-        num, den = self.value
-        return f"({poly_to_str(num)})/({poly_to_str(den)}) mod {self.config.p}"
+        return self.config._str(*self.value)
 
     def __repr__(self) -> str:
         return f"FieldElement[{self}]"
@@ -348,11 +368,9 @@ def _ceil_frac(q: Fraction) -> int:
 def _truncate(a: FieldElement, cutoff: Fraction) -> tuple[int, Poly | int] | None:
     """The digits of ``a`` below the cutoff, or None when val(a) >= cutoff.
 
-    Returns (v, r) with v = val(a) and r the unit a / pi^v modulo pi^k, where
-    k is the number of integer exponents in [v, cutoff): over F_p(t) the
-    coefficient tuple (c_0, ..., c_{k-1}) with trailing zeros trimmed, over
-    Q_p the integer sum c_i p^i in [0, p^k).  The digit of ``a`` at v + i is
-    c_i, in [0, p), and c_0 != 0.
+    Returns (v, r): v = val(a) and r = (a / pi^v) mod pi^k, with k the number
+    of integer exponents in [v, cutoff).  The digit of ``a`` at v + i is the
+    i-th base-p digit c_i of r, in [0, p), and c_0 != 0.
     """
     if a.is_zero():
         return None
@@ -360,17 +378,7 @@ def _truncate(a: FieldElement, cutoff: Fraction) -> tuple[int, Poly | int] | Non
     k = _ceil_frac(cutoff) - v
     if k <= 0:
         return None
-    p = a.config.p
-    if a.config.kind == LAURENT:
-        num, den = a.value
-        return v, _trim(_poly_series_coeffs(num[poly_ord(num):], den[poly_ord(den):], k, p))
-    num, den = a.value.numerator, a.value.denominator
-    if v >= 0:
-        num //= p ** v
-    else:
-        den //= p ** -v
-    mod = p ** k
-    return v, num * pow(den, -1, mod) % mod
+    return v, a.config._unit_mod(*a.value, k)
 
 
 @dataclass(frozen=True)
@@ -393,12 +401,7 @@ class Tail:
         if got is None:
             return {}
         v, r = got
-        if self.value.config.kind == PADIC:  # r packs the digits base p
-            p, packed, r = self.value.config.p, r, []
-            while packed:
-                packed, d = divmod(packed, p)
-                r.append(d)
-        return {v + i: c for i, c in enumerate(r) if c}
+        return {v + i: c for i, c in enumerate(self.value.config._digits(r)) if c}
 
 
 def tail_reduce(a: FieldElement, cutoff: Fraction | int) -> Tail:
@@ -409,11 +412,9 @@ def tail_reduce(a: FieldElement, cutoff: Fraction | int) -> Tail:
     if got is None:
         return Tail(cfg.zero(), cutoff)
     v, r = got
-    if cfg.kind == PADIC:
-        return Tail(FieldElement(cfg, r * Fraction(cfg.p) ** v), cutoff)
-    # t^v * r is already in lowest terms: r(0) != 0 and the denominator is monic
-    pair = ((0,) * v + r, (1,)) if v >= 0 else (r, (0,) * -v + (1,))
-    return Tail(FieldElement(cfg, pair), cutoff)
+    # pi^v * r is already in lowest terms: r is a unit and pi^|v| is normalized
+    pv = cfg._pi_pow(abs(v))
+    return Tail(FieldElement(cfg, (cfg._mul(pv, r), cfg._one) if v >= 0 else (r, pv)), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +494,8 @@ def s_tilde(cfg: FieldConfig) -> Mat2:
 # ---------------------------------------------------------------------------
 # text syntax
 #
-#   LaurentRational:  "(<poly>)/(<poly>) mod <p>"   polys like "1+t^2+2*t^5"
-#   PAdicRational:    "<num>/<den> @ p=<p>"
+#   LaurentField:  "(<poly>)/(<poly>) mod <p>"   polys like "1+t^2+2*t^5"
+#   PAdicField:    "<num>/<den> @ p=<p>"
 #
 # The printers emit exactly this grammar and the parsers accept it (plus
 # Laurent monomial shorthands with negative exponents such as "t^-3" used
@@ -560,16 +561,13 @@ def laurent_from_terms(cfg: FieldConfig, terms: dict[int, int]) -> FieldElement:
 
 def parse_element(cfg: FieldConfig, s: str) -> FieldElement:
     s = s.strip()
-    if cfg.kind == PADIC:
+    if isinstance(cfg, PAdicField):
         m = re.fullmatch(r"(-?\d+)\s*(?:/\s*(-?\d+))?\s*(?:@\s*p=(\d+))?", s)
         if not m:
             raise ParseError(f"bad p-adic element {s!r}")
         if m.group(3) and int(m.group(3)) != cfg.p:
             raise ParseError(f"prime mismatch: {m.group(3)} vs {cfg.p}")
-        den = int(m.group(2)) if m.group(2) else 1
-        if den == 0:
-            raise DivisionByZero("zero denominator")
-        return FieldElement(cfg, Fraction(int(m.group(1)), den))
+        return FieldElement(cfg, (int(m.group(1)), int(m.group(2) or 1)))
     m = re.fullmatch(r"\((.*?)\)\s*/\s*\((.*?)\)\s*(?:mod\s*(\d+))?", s)
     if m:
         if m.group(3) and int(m.group(3)) != cfg.p:

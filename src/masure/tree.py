@@ -24,9 +24,9 @@ from fractions import Fraction
 
 from .fields import (
     INF,
-    LAURENT,
     FieldConfig,
     FieldElement,
+    LaurentField,
     Mat2,
     ParseError,
     Tail,
@@ -98,11 +98,10 @@ def point_to_str(p: TreePoint) -> str:
     """Syntax "(x; tail)" with the tail as a sum of uniformizer powers."""
     if p.tail.is_zero():
         return f"({p.x}; 0)"
-    if p.config.kind == LAURENT:
+    if isinstance(p.config, LaurentField):
         body = _terms_to_str(sorted(Tail(p.tail, -p.x).digits().items()))
     else:
-        q = p.tail.value
-        body = f"{q.numerator}/{q.denominator}"
+        body = "/".join(map(str, p.tail.value))
     return f"({p.x}; {body})"
 
 

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .kmdata import KacMoodyData, RootVector, simple_root_vector
 
 IntMat = tuple[tuple[int, ...], ...]
 
 
+@cache  # immutable, so one shared identity per n
 def _identity(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

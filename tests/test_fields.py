@@ -11,6 +11,7 @@ from masure.fields import (
     DivisionByZero,
     FieldConfig,
     FieldElement,
+    LaurentField,
     Mat2,
     NegativeValuation,
     ZeroMatrix,
@@ -18,6 +19,7 @@ from masure.fields import (
     matrix_valuation,
     parse_element,
     parse_field,
+    poly_gcd,
     poly_ord,
     tail_reduce,
     x_plus,
@@ -198,7 +200,7 @@ def _per_digit_tail(a, cutoff):
         return cfg.zero()
     v = a.valuation()
     hi = -((-cutoff.numerator) // cutoff.denominator) - 1
-    if cfg.kind == "laurent":
+    if isinstance(cfg, LaurentField):
         num, den = a.value
         coeffs = _poly_series_coeffs(num[poly_ord(num):], den[poly_ord(den):], hi - v + 1, cfg.p)
         val = cfg.zero()
@@ -206,7 +208,7 @@ def _per_digit_tail(a, cutoff):
             if c:
                 val = val + cfg.monomial(c, v + i)
         return val
-    r, p, acc = a.value, cfg.p, Fraction(0)
+    r, p, acc = Fraction(*a.value), cfg.p, Fraction(0)
     for e in range(v, hi + 1):
         q = r / Fraction(p) ** e
         if q == 0:
@@ -215,14 +217,14 @@ def _per_digit_tail(a, cutoff):
         if d:
             acc += d * Fraction(p) ** e
             r -= d * Fraction(p) ** e
-    return FieldElement(cfg, acc)
+    return FieldElement(cfg, (acc.numerator, acc.denominator))
 
 
 @pytest.mark.parametrize("cfg", [F2, F3, Q3, Q5], ids=str)
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_tail_reduce_laws(cfg, data):
-    elems = _laurent_elems(cfg) if cfg.kind == "laurent" else _padic_elems(cfg)
+    elems = _laurent_elems(cfg) if isinstance(cfg, LaurentField) else _padic_elems(cfg)
     a = data.draw(elems)
     cutoff = data.draw(st.builds(Fraction, st.integers(min_value=-8, max_value=12),
                                  st.sampled_from([1, 2, 3])))
@@ -236,6 +238,81 @@ def test_tail_reduce_laws(cfg, data):
         total = total + cfg.monomial(d, e)
     assert total == tl.value
     assert tl.value == _per_digit_tail(a, cutoff)
+
+
+def _fraction_val(q, p):
+    """Test-local p-adic valuation of a nonzero Fraction."""
+    v, n, d = 0, q.numerator, q.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+_fraction_pairs = st.tuples(st.integers(-300, 300),
+                            st.integers(-300, 300).filter(bool))
+
+
+@pytest.mark.parametrize("cfg", [Q2, Q3, Q5], ids=str)
+@settings(max_examples=100, deadline=None)
+@given(x=_fraction_pairs, y=_fraction_pairs)
+def test_padic_matches_fraction(cfg, x, y):
+    """Over Q the pair arithmetic agrees with fractions.Fraction, and every
+    value is the pair (numerator, denominator) of the reduced Fraction."""
+    p = cfg.p
+    qx, qy = Fraction(*x), Fraction(*y)
+    a, b = FieldElement(cfg, x), FieldElement(cfg, y)
+
+    def agree(e, q):
+        assert e.value == (q.numerator, q.denominator)
+
+    agree(a, qx)
+    agree(a + b, qx + qy)
+    agree(a - b, qx - qy)
+    agree(a * b, qx * qy)
+    agree(-a, -qx)
+    if qy:
+        agree(a / b, qx / qy)
+        agree(b.inverse(), 1 / qy)
+    else:
+        with pytest.raises(DivisionByZero):
+            a / b
+    if qx == 0:
+        assert a.valuation() is INF and a.residue() == 0
+    else:
+        v = _fraction_val(qx, p)
+        assert a.valuation() == v
+        if v < 0:
+            with pytest.raises(NegativeValuation):
+                a.residue()
+        else:
+            assert a.residue() == qx.numerator * pow(qx.denominator, -1, p) % p
+    assert str(a) == f"{qx.numerator}/{qx.denominator} @ p={p}"
+    assert parse_element(cfg, str(a)) == a
+
+
+def _assert_canonical(e):
+    num, den = e.value
+    assert den and den[-1] == 1  # monic denominator
+    assert all(num[-1:]) and all(den[-1:])  # no trailing zero coefficients
+    assert (num == ()) == e.is_zero()
+    assert poly_gcd(num, den, e.config.p) == (1,)
+
+
+@pytest.mark.parametrize("cfg", [F2, F3], ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_laurent_results_canonical(cfg, data):
+    """Over F_p(t) every result is a pair in lowest terms with monic
+    denominator, and its numerator is () iff it is zero."""
+    a, b = data.draw(_laurent_elems(cfg)), data.draw(_laurent_elems(cfg))
+    k = data.draw(st.integers(min_value=-4, max_value=6))
+    results = [a, a + b, a - b, a - a, a * b, -a, tail_reduce(a, k).value]
+    if not b.is_zero():
+        results += [a / b, b.inverse(), (a * b) / b]
+    for e in results:
+        _assert_canonical(e)
 
 
 @settings(max_examples=80, deadline=None)
@@ -254,6 +331,10 @@ class TestParsing:
     def test_field_names(self):
         assert parse_field("F2(t)") == F2
         assert parse_field("Q5") == Q5
+
+    def test_base_config_has_no_ring(self):
+        with pytest.raises(ValueError):
+            FieldConfig(2)
 
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError):

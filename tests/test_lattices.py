@@ -69,12 +69,13 @@ class TestLatticeDistance:
             for (i, v), (j, w) in itertools.combinations(enumerate(verts), 2):
                 assert lattice_distance(lats[i], lats[j]) == distance(v, w)
 
-    def test_action_compatible(self):
+    @pytest.mark.parametrize("cfg", [F2, Q3], ids=str)
+    def test_action_compatible(self, cfg):
         rng = random.Random(31)
-        verts = ball(origin(F2), 2)
+        verts = ball(origin(cfg), 2)
         for _ in range(40):
             v = rng.choice(verts)
-            g = x_plus(t(F2, rng.randint(-2, 2))) * t_diag(t(F2, rng.randint(-1, 1)))
+            g = x_plus(t(cfg, rng.randint(-2, 2))) * t_diag(t(cfg, rng.randint(-1, 1)))
             lv = Lattice(g * vertex_to_lattice(v).basis)
             assert same_class(lv, vertex_to_lattice(act(g, v)))
 

@@ -53,6 +53,7 @@ from masure.tree import (
 F2 = FieldConfig.laurent(2)
 F3 = FieldConfig.laurent(3)
 Q2 = FieldConfig.padic(2)
+Q3 = FieldConfig.padic(3)
 
 
 def t(cfg, k):
@@ -103,18 +104,20 @@ class TestAction:
         moved = act(x_plus(t(F2, -3)), p)
         assert moved == make_point(F2, 1, t(F2, -3))
 
-    def test_action_is_homomorphism(self):
+    @pytest.mark.parametrize("cfg", [F2, Q3], ids=str)
+    def test_action_is_homomorphism(self, cfg):
         rng = random.Random(11)
         for _ in range(60):
-            g, h = random_g(rng, F2), random_g(rng, F2)
-            p = random_point(rng, F2)
+            g, h = random_g(rng, cfg), random_g(rng, cfg)
+            p = random_point(rng, cfg)
             assert act(g * h, p) == act(g, act(h, p))
 
-    def test_fixator_oracle(self):
+    @pytest.mark.parametrize("cfg", [F3, Q3], ids=str)
+    def test_fixator_oracle(self, cfg):
         rng = random.Random(12)
         for _ in range(120):
-            g = random_g(rng, F3)
-            p = random_point(rng, F3)
+            g = random_g(rng, cfg)
+            p = random_point(rng, cfg)
             assert fixes_point(g, p) == (act(g, p) == p)
 
     def test_fix_pattern_at_x(self):
