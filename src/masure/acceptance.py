@@ -38,13 +38,9 @@ def _laurent_exponent_range(e: FieldElement) -> tuple[int, int] | None:
     """(min, max) exponent when e is a Laurent polynomial, else None."""
     if e.is_zero():
         return (0, 0)
-    num, den = e.value
-    if sum(1 for c in den if c) != 1:
+    if e.den != (1,):  # e = t^v * num/den is a Laurent polynomial iff den = 1
         return None
-    shift = len(den) - 1
-    lo = next(i for i, c in enumerate(num) if c) - shift
-    hi = len(num) - 1 - shift
-    return lo, hi
+    return e.v, e.v + len(e.num) - 1
 
 
 def _random_group_element(rng: random.Random, cfg: FieldConfig, max_deg: int) -> Mat2:

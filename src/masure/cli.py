@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -145,7 +146,7 @@ def _mat_arg(cfg, text: str) -> Mat2:
                     and all(isinstance(e, str) for e in row) for row in rows)):
         raise UsageError('--g must be a 2x2 JSON matrix of element strings, '
                          f'e.g. [["1","t"],["0","1"]]; got {text!r}')
-    return Mat2(*(parse_element(cfg, e) for row in rows for e in row))
+    return Mat2(*(parse_element(cfg, e, TREE_MAX_EXPONENT) for row in rows for e in row))
 
 
 def _mat_out(g: Mat2) -> list[list[str]]:
@@ -248,11 +249,29 @@ def _cmd_prenilpotent(args) -> int:
     return 0
 
 
+# The largest |x| of a point position, and |e| of an exponent t^e or of the
+# valuation of a p-adic element, that the tree commands take.  The slowest
+# command at this size is act with dense entries num/den whose terms run
+# over t^-200..t^200: its Euclid on polynomials of degree 400 takes 0.85-1.1 s
+# over F3(t), F7(t) and F101(t), and 1.0-2.3 s at 250, on a 2-core x86-64 VM
+# under Python 3.11.7.
+TREE_MAX_EXPONENT = 200
+
+# The most points tree geodesic lists: at the TREE_MAX_EXPONENT cap 1000
+# points print up to 0.8 MB in at most 0.25 s on the VM above.
+GEODESIC_MAX_N = 1000
+
 # The most vertices tree ball builds: the ball of radius 8 over F3(t)
 # (13121 vertices) takes 0.94-0.96 s with its edges and printing in any
 # format, and radius 12 over F2(t) (12286) 0.94 s, on a 2-core x86-64 VM
 # under Python 3.11.7.  The time grows linearly in the count, for every q.
 BALL_MAX_VERTICES = 14000
+
+# A vertex's text grows with its tail: a tail term takes about 0.7 us to
+# print, against 88 us to build and print a vertex near the origin.  So
+# around a center whose tail spans s exponents a vertex counts
+# 1 + s/BALL_TERMS_PER_VERTEX times toward BALL_MAX_VERTICES.
+BALL_TERMS_PER_VERTEX = 128
 
 
 def _ball_size(q: int, radius: int) -> int:
@@ -267,25 +286,41 @@ def _ball_size(q: int, radius: int) -> int:
     return count
 
 
+def _point(cfg, text: str) -> tree.TreePoint:
+    return tree.parse_point(cfg, text, TREE_MAX_EXPONENT)
+
+
+def _vertex_budget(center: tree.TreePoint, count: int, what: str) -> None:
+    """Reject listing ``count`` vertices around ``center`` when they weigh
+    more than BALL_MAX_VERTICES; ``what`` starts the message."""
+    # the exponents in [val(tail), -x) that the center's tail spans
+    span = 0 if center.tail.is_zero() else -math.floor(center.x) - center.tail.valuation()
+    weight = 1 + Fraction(span, BALL_TERMS_PER_VERTEX)
+    if count * weight > BALL_MAX_VERTICES:
+        why = f" (each counts {weight} times: the center's tail spans {span} exponents)"
+        raise UsageError(f"{what} more than {BALL_MAX_VERTICES} vertices, the most a tree "
+                         "command lists" + (why if span else ""))
+
+
 def _cmd_tree(args) -> int:
     cfg = parse_field(args.field)
     sub = args.tree_cmd
     if sub == "act":
         g = _mat_arg(cfg, args.g)
-        p = tree.parse_point(cfg, args.p)
+        p = _point(cfg, args.p)
         point = tree.point_to_str(tree.act(g, p))
         _emit({"point": point}, args.json, point)
     elif sub == "dist":
-        d = tree.distance(tree.parse_point(cfg, args.p), tree.parse_point(cfg, args.q))
+        d = tree.distance(_point(cfg, args.p), _point(cfg, args.q))
         _emit({"distance": _frac_str(d)}, args.json, str(d))
     elif sub == "retract":
-        p = tree.parse_point(cfg, args.p)
+        p = _point(cfg, args.p)
         if args.q is None:
             obj = {"plus": _frac_str(tree.retract_plus(p)),
                    "minus": _frac_str(tree.retract_minus(p))}
             _emit(obj, args.json, f"rho+ = {obj['plus']}, rho- = {obj['minus']}")
         else:
-            q = tree.parse_point(cfg, args.q)
+            q = _point(cfg, args.q)
             tp = tree.retract_segment(p, q, 1 if args.center == "+" else -1)
             obj = {"breakpoints": [_frac_str(t) for t in tp.breaks],
                    "values": [_frac_str(v) for v in tp.values],
@@ -294,30 +329,30 @@ def _cmd_tree(args) -> int:
             _emit(obj, args.json,
                   " -> ".join(obj["values"]) + f"   (breaks {obj['breakpoints']})")
     elif sub == "geodesic":
-        p = tree.parse_point(cfg, args.p)
-        q = tree.parse_point(cfg, args.q)
+        if not 1 <= args.n <= GEODESIC_MAX_N:
+            raise UsageError(f"--n must be in 1..{GEODESIC_MAX_N}, got {args.n}")
+        p = _point(cfg, args.p)
+        q = _point(cfg, args.q)
         pts = tree.geodesic(p, q, args.n)
         strs = [tree.point_to_str(z) for z in pts]
         _emit({"points": strs}, args.json, "\n".join(strs))
     elif sub == "neighbors":
-        v = tree.parse_point(cfg, args.p)
+        v = _point(cfg, args.p)
+        _vertex_budget(v, cfg.p + 1, f"--field {cfg}: a vertex has")
         strs = [tree.point_to_str(w) for w in tree.neighbors(v)]
         _emit({"neighbors": strs}, args.json, "\n".join(strs))
     elif sub == "ball":
         if args.radius < 0:
             raise UsageError(f"--radius must be >= 0, got {args.radius}")
-        if _ball_size(cfg.p, args.radius) > BALL_MAX_VERTICES:
-            raise UsageError(f"--radius {args.radius}: the ball has more than "
-                             f"{BALL_MAX_VERTICES} vertices, the most tree ball builds")
-        center = tree.parse_point(cfg, args.p) if args.p else tree.origin(cfg)
+        center = _point(cfg, args.p) if args.p else tree.origin(cfg)
+        _vertex_budget(center, _ball_size(cfg.p, args.radius),
+                       f"--radius {args.radius}: the ball has")
         verts = tree.ball(center, args.radius)
         index = {v: i for i, v in enumerate(verts)}
         # every edge has an end within radius - 1, and the BFS lists those first
-        edges = sorted(
-            (index[v], index[w])
-            for v in verts[:_ball_size(cfg.p, args.radius - 1)] for w in tree.neighbors(v)
-            if w in index and index[v] < index[w]
-        )
+        inner = verts[:_ball_size(cfg.p, args.radius - 1)] if args.radius else []
+        edges = sorted((index[v], index[w]) for v in inner for w in tree.neighbors(v)
+                       if w in index and index[v] < index[w])
         if args.format == "dot":
             lines = ["graph tree {"]
             for v, i in index.items():
@@ -332,10 +367,10 @@ def _cmd_tree(args) -> int:
             _emit(obj, args.format == "json",
                   f"{len(verts)} vertices, {len(edges)} edges")
     elif sub == "orbit":
-        orbit = tree.orbit_class(tree.parse_point(cfg, args.p))
+        orbit = tree.orbit_class(_point(cfg, args.p))
         _emit({"orbit_class": orbit}, args.json, str(orbit))
     elif sub == "exchange":
-        a = parse_element(cfg, args.a)
+        a = parse_element(cfg, args.a, TREE_MAX_EXPONENT)
         g2 = tree.exchange_apartment(a)
         obj = {"g": _mat_out(g2),
                "vertex": _frac_str(a.valuation()),

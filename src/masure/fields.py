@@ -2,27 +2,28 @@
 
 Both fields are fraction fields Frac(R) with the pi-adic valuation:
 ``LaurentField(p)`` is F_p(t) = Frac(F_p[t]) with pi = t, and
-``PAdicField(p)`` is Q = Frac(Z) with pi = p.  An element is a pair
-(num, den) over R in lowest terms with a monic (F_p[t]) or positive (Z)
-denominator, so equality and valuation are exact.  The fraction arithmetic
-is written once, in ``FieldElement``, over the ring primitives of each
-``FieldConfig`` subclass.
+``PAdicField(p)`` is Q = Frac(Z) with pi = p.  An element is stored as
+pi^v * num/den with num and den units of R (prime to pi), coprime, and den
+monic (F_p[t]) or positive (Z), so equality is exact, the valuation is v
+and the gcd runs on units only.  The arithmetic is written once, in
+``FieldElement``, over the ring primitives of each ``FieldConfig``
+subclass.
 
 The valuation ring is O = {a : val(a) >= 0}, its maximal ideal
 m = {a : val(a) > 0}, and the residue field O/m is F_p in both backends.
 ``tail_reduce`` computes the canonical representative of a coset
 ``a + F_{>=cutoff}``: the finite sum of uniformizer powers of ``a`` with
-integer exponents strictly below the cutoff.  It is built in one step as
-pi^v * (u mod pi^k), with v = val(a), the unit u = a / pi^v and k the number
-of exponents in [v, cutoff); ``Tail.digits`` reads its base-p digits off the
-same truncation.
+integer exponents strictly below the cutoff.  It is pi^v * (u mod pi^k),
+with v = val(a), the stored unit u = num/den and k the number of exponents
+in [v, cutoff), and is stored as such with no reduction; ``Tail.digits``
+reads its base-p digits off the same truncation.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import ClassVar
@@ -79,20 +80,16 @@ def _trim(c: list[int]) -> Poly:
 def poly_divmod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
+    r, n = list(a), len(b)
+    q = [0] * max(0, len(a) - n + 1)
     inv_lead = pow(b[-1], p - 2, p)
-    while len(r) >= len(b):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        shift = len(r) - len(b)
-        c = (r[-1] * inv_lead) % p
-        q[shift] = c
-        for i, y in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * y) % p
-        r = list(_trim(r))
-    return _trim(q), _trim(r)
+    for shift in range(len(a) - n, -1, -1):  # clear r[shift + n - 1]
+        c = r[shift + n - 1] * inv_lead % p
+        if c:
+            q[shift] = c
+            for i, y in enumerate(b, shift):
+                r[i] = (r[i] - c * y) % p
+    return _trim(q), _trim(r[:n - 1])
 
 
 def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
@@ -132,10 +129,12 @@ class FieldConfig:
     """A discretely valued field Frac(R), value group normalized to Z.
 
     A subclass supplies R and its prime pi: ``_zero``, ``_one``, ``_embed``
-    (of an int), ``_pi_pow`` (pi^k, k >= 0), ``_add``, ``_mul``, ``_neg``,
-    ``_reduce`` (a pair with nonzero numerator to canonical form), ``_ord``
-    (pi-order), ``_unit_mod`` (a / pi^val(a) mod pi^k), ``_digits`` (the
-    base-p digits of such a residue) and ``_str`` (the text of a pair).
+    (of an int), ``_add`` (a + pi^s b), ``_mul``, ``_neg``, ``_split``
+    (a nonzero a as (k, a / pi^k) with k its pi-order), ``_reduce`` (a pair
+    of units to lowest terms with normalized denominator, with no gcd when
+    den = 1), ``_normalize`` (only the denominator), ``_unit_mod`` (a unit
+    num/den mod pi^k), ``_digits`` (the base-p digits of such a residue) and
+    ``_str`` (the text of a pair).
     """
 
     kind: ClassVar[str]  # backend label, read by tracing tools only
@@ -156,10 +155,10 @@ class FieldConfig:
         return PAdicField(p)
 
     def zero(self) -> "FieldElement":
-        return self.from_int(0)
+        return _element(self, INF, self._zero, self._one)
 
     def one(self) -> "FieldElement":
-        return self.from_int(1)
+        return self.uniformizer_pow(0)
 
     def from_int(self, n: int) -> "FieldElement":
         return FieldElement(self, (self._embed(n), self._one))
@@ -169,12 +168,15 @@ class FieldConfig:
 
     def uniformizer_pow(self, k: int) -> "FieldElement":
         """t^k resp. p^k; any integer k."""
-        pk = self._pi_pow(abs(k))
-        return FieldElement(self, (pk, self._one) if k >= 0 else (self._one, pk))
+        return _element(self, k, self._one, self._one)
 
     def monomial(self, coeff: int, exp: int) -> "FieldElement":
         """coeff * t^exp resp. coeff * p^exp."""
-        return self.from_int(coeff) * self.uniformizer_pow(exp)
+        c = self._embed(coeff)
+        if not c:
+            return self.zero()
+        k, u = self._split(c)
+        return _element(self, k + exp, u, self._one)
 
 
 class LaurentField(FieldConfig):
@@ -183,20 +185,18 @@ class LaurentField(FieldConfig):
     kind = "laurent"
     _zero = ()
     _one = (1,)
-    _ord = staticmethod(poly_ord)
 
     def _embed(self, n: int) -> Poly:
         c = n % self.p
         return (c,) if c else ()
 
-    def _pi_pow(self, k: int) -> Poly:
-        return (0,) * k + (1,)
-
-    def _add(self, a: Poly, b: Poly) -> Poly:
-        if len(a) < len(b):
-            a, b = b, a
-        p, n = self.p, len(b)
-        return _trim([(x + b[i]) % p if i < n else x for i, x in enumerate(a)])
+    def _add(self, a: Poly, b: Poly, s: int = 0) -> Poly:
+        if s >= len(a):  # no overlap: concatenate
+            return a + (0,) * (s - len(a)) + b if b else a
+        out = list(a) + [0] * (s + len(b) - len(a))
+        for i, y in enumerate(b, s):
+            out[i] = (out[i] + y) % self.p
+        return _trim(out)
 
     def _mul(self, a: Poly, b: Poly) -> Poly:
         if not a or not b:
@@ -212,20 +212,26 @@ class LaurentField(FieldConfig):
     def _neg(self, a: Poly) -> Poly:
         return tuple((-x) % self.p for x in a)
 
+    def _split(self, a: Poly) -> tuple[int, Poly]:
+        k = poly_ord(a)
+        return k, a[k:]
+
     def _reduce(self, num: Poly, den: Poly) -> tuple[Poly, Poly]:
-        p = self.p
-        g = poly_gcd(num, den, p)
+        g = poly_gcd(num, den, self.p) if len(den) > 1 else (1,)
         if g != (1,):
-            num = poly_divmod(num, g, p)[0]
-            den = poly_divmod(den, g, p)[0]
-        if den[-1] != 1:  # monic denominator
-            inv = pow(den[-1], p - 2, p)
-            num = tuple((x * inv) % p for x in num)
-            den = tuple((x * inv) % p for x in den)
-        return num, den
+            num, den = poly_divmod(num, g, self.p)[0], poly_divmod(den, g, self.p)[0]
+        return self._normalize(num, den)
+
+    def _normalize(self, num: Poly, den: Poly) -> tuple[Poly, Poly]:
+        if den[-1] == 1:  # monic denominator
+            return num, den
+        p, inv = self.p, pow(den[-1], -1, self.p)
+        return tuple(x * inv % p for x in num), tuple(x * inv % p for x in den)
 
     def _unit_mod(self, num: Poly, den: Poly, k: int) -> Poly:
-        return _trim(_poly_series_coeffs(num[poly_ord(num):], den[poly_ord(den):], k, self.p))
+        if den == (1,):
+            return num if len(num) <= k else _trim(list(num[:k]))
+        return _trim(_poly_series_coeffs(num, den, k, self.p))
 
     def _digits(self, r: Poly) -> Poly:
         return r
@@ -243,31 +249,30 @@ class PAdicField(FieldConfig):
     kind = "padic"
     _zero = 0
     _one = 1
-    _add = operator.add
     _mul = operator.mul
     _neg = operator.neg
     _embed = int
 
-    def _pi_pow(self, k: int) -> int:
-        return self.p ** k
+    def _add(self, a: int, b: int, s: int = 0) -> int:
+        return a + b * self.p ** s if s else a + b
 
-    def _reduce(self, num: int, den: int) -> tuple[int, int]:
-        g = gcd(num, den)
-        if den < 0:  # positive denominator
-            g = -g
-        return (num // g, den // g) if g != 1 else (num, den)
-
-    def _ord(self, n: int) -> int:
-        v, p = 0, self.p
+    def _split(self, n: int) -> tuple[int, int]:
+        k, p = 0, self.p
         while n % p == 0:
             n //= p
-            v += 1
-        return v
+            k += 1
+        return k, n
+
+    def _reduce(self, num: int, den: int) -> tuple[int, int]:
+        g = gcd(num, den) if den > 0 else -gcd(num, den)  # positive denominator
+        return (num // g, den // g) if g != 1 else (num, den)
+
+    def _normalize(self, num: int, den: int) -> tuple[int, int]:
+        return (-num, -den) if den < 0 else (num, den)
 
     def _unit_mod(self, num: int, den: int, k: int) -> int:
-        p = self.p
-        mod = p ** k
-        return num // p ** self._ord(num) * pow(den // p ** self._ord(den), -1, mod) % mod
+        mod = self.p ** k
+        return num * pow(den, -1, mod) % mod
 
     def _digits(self, r: int) -> list[int]:
         out = []
@@ -283,39 +288,66 @@ class PAdicField(FieldConfig):
         return f"Q{self.p}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FieldElement:
-    """Element num/den of Frac(R), in lowest terms with normalized
-    denominator: a canonical form unique per value."""
+    """Element pi^v * num/den of Frac(R) in canonical form (see the module
+    docstring); zero has v = INF, num = 0 and den = 1.
 
-    config: FieldConfig
-    value: tuple  # (num, den) over the config's ring
+    ``FieldElement(config, (num, den))`` builds num/den from any pair over R
+    with den != 0; ``value`` is that pair in lowest terms.  A product adds
+    valuations, and a sum aligns its terms by pi^(v2 - v1) and splits pi off
+    only when v1 = v2, since otherwise the sum is a unit.
+    """
 
-    def __post_init__(self) -> None:
-        num, den = self.value
+    config: FieldConfig = field(hash=False)
+    v: int | float
+    num: Poly | int
+    den: Poly | int
+
+    def __init__(self, config: FieldConfig, value: tuple) -> None:
+        num, den = value
         if not den:
             raise DivisionByZero("zero denominator")
-        cfg = self.config
-        object.__setattr__(self, "value", cfg._reduce(num, den) if num else (cfg._zero, cfg._one))
+        if not num:
+            _element(config, INF, config._zero, config._one, self)
+            return
+        (kn, num), (kd, den) = config._split(num), config._split(den)
+        _element(config, kn - kd, *config._reduce(num, den), self)
+
+    @property
+    def value(self) -> tuple:
+        """(num, den) over R in lowest terms, with normalized denominator."""
+        cfg, v, num, den = self.config, self.v, self.num, self.den
+        if not num or v == 0:
+            return num, den
+        return (cfg._add(cfg._zero, num, v), den) if v > 0 else (num, cfg._add(cfg._zero, den, -v))
 
     # -- ring structure -----------------------------------------------------
 
     def _check(self, other: "FieldElement") -> None:
-        if self.config != other.config:
+        if self.config is not other.config and self.config != other.config:
             raise FieldError("mixed field configurations")
 
     def is_zero(self) -> bool:
-        return not self.value[0]
+        return not self.num
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        cfg = self.config
-        (n1, d1), (n2, d2) = self.value, other.value
-        return FieldElement(cfg, (cfg._add(cfg._mul(n1, d2), cfg._mul(n2, d1)), cfg._mul(d1, d2)))
+        if not self.num or not other.num:
+            return other if not self.num else self
+        a, b = (self, other) if self.v <= other.v else (other, self)
+        cfg, one, s = self.config, self.config._one, b.v - a.v
+        if a.den == one and b.den == one:
+            num, den = cfg._add(a.num, b.num, s), one
+        else:
+            num = cfg._add(cfg._mul(a.num, b.den), cfg._mul(b.num, a.den), s)
+            den = cfg._mul(a.den, b.den)
+        # the sum of two units may be divisible by pi, or zero
+        k, num = cfg._split(num) if s == 0 and num else (0, num)
+        return _element(cfg, a.v + k, *cfg._reduce(num, den)) if num else cfg.zero()
 
     def __neg__(self) -> "FieldElement":
-        num, den = self.value
-        return FieldElement(self.config, (self.config._neg(num), den))
+        return _element(self.config, self.v, self.config._neg(self.num), self.den)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
@@ -323,30 +355,27 @@ class FieldElement:
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
         cfg = self.config
-        (n1, d1), (n2, d2) = self.value, other.value
-        return FieldElement(cfg, (cfg._mul(n1, n2), cfg._mul(d1, d2)))
+        if not self.num or not other.num:
+            return cfg.zero()
+        num, den = cfg._reduce(cfg._mul(self.num, other.num), cfg._mul(self.den, other.den))
+        return _element(cfg, self.v + other.v, num, den)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        num, den = self.value
-        return FieldElement(self.config, (den, num))
+        return _element(self.config, -self.v, *self.config._normalize(self.den, self.num))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
 
     def valuation(self) -> int | float:
         """Exact t-adic / p-adic order; INF iff the element is zero."""
-        if self.is_zero():
-            return INF
-        num, den = self.value
-        return self.config._ord(num) - self.config._ord(den)
+        return self.v
 
     def residue(self) -> int:
         """Image in O/m = F_p; requires valuation >= 0."""
-        v = self.valuation()
-        if v < 0:
-            raise NegativeValuation(f"valuation {v} < 0 has no residue")
+        if self.v < 0:
+            raise NegativeValuation(f"valuation {self.v} < 0 has no residue")
         return Tail(self, 1).digits().get(0, 0)
 
     # -- formatting ----------------------------------------------------------
@@ -356,6 +385,19 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement[{self}]"
+
+
+_set = object.__setattr__
+
+
+def _element(cfg: FieldConfig, v, num, den, e: FieldElement | None = None) -> FieldElement:
+    """pi^v * num/den from parts already in canonical form, set in e or anew."""
+    e = object.__new__(FieldElement) if e is None else e
+    _set(e, "config", cfg)
+    _set(e, "v", v)
+    _set(e, "num", num)
+    _set(e, "den", den)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +416,10 @@ def _truncate(a: FieldElement, cutoff: Fraction) -> tuple[int, Poly | int] | Non
     """
     if a.is_zero():
         return None
-    v = a.valuation()
-    k = _ceil_frac(cutoff) - v
+    k = _ceil_frac(cutoff) - a.v
     if k <= 0:
         return None
-    return v, a.config._unit_mod(*a.value, k)
+    return a.v, a.config._unit_mod(a.num, a.den, k)
 
 
 @dataclass(frozen=True)
@@ -412,9 +453,10 @@ def tail_reduce(a: FieldElement, cutoff: Fraction | int) -> Tail:
     if got is None:
         return Tail(cfg.zero(), cutoff)
     v, r = got
-    # pi^v * r is already in lowest terms: r is a unit and pi^|v| is normalized
-    pv = cfg._pi_pow(abs(v))
-    return Tail(FieldElement(cfg, (cfg._mul(pv, r), cfg._one) if v >= 0 else (r, pv)), cutoff)
+    if a.den == cfg._one and r == a.num:
+        return Tail(a, cutoff)
+    # pi^v * r is canonical: r is a unit, r[0] != 0 resp. r prime to p
+    return Tail(_element(cfg, v, r, cfg._one), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +564,9 @@ def poly_to_str(c: Poly) -> str:
     return _terms_to_str(enumerate(c)) if c else "0"
 
 
-def parse_laurent_terms(s: str) -> dict[int, int]:
-    """Parse a Laurent polynomial in t (integer exponents, maybe negative)."""
+def parse_laurent_terms(s: str, bound: int | None = None) -> dict[int, int]:
+    """Parse a Laurent polynomial in t (integer exponents, maybe negative);
+    with a bound, every exponent must have absolute value <= bound."""
     s = s.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial")
@@ -548,6 +591,8 @@ def parse_laurent_terms(s: str) -> dict[int, int]:
         else:
             coeff = 1
             exp = int(m.group(3)) if m.group(3) is not None else 1
+        if bound is not None and abs(exp) > bound:
+            raise ParseError(f"exponent {exp} is out of range: at most {bound} in absolute value")
         out[exp] = out.get(exp, 0) + sign * coeff
     return out
 
@@ -559,7 +604,9 @@ def laurent_from_terms(cfg: FieldConfig, terms: dict[int, int]) -> FieldElement:
     return out
 
 
-def parse_element(cfg: FieldConfig, s: str) -> FieldElement:
+def parse_element(cfg: FieldConfig, s: str, bound: int | None = None) -> FieldElement:
+    """An element in the text syntax above; with a bound, every exponent of t
+    resp. the valuation of a p-adic element must have absolute value <= bound."""
     s = s.strip()
     if isinstance(cfg, PAdicField):
         m = re.fullmatch(r"(-?\d+)\s*(?:/\s*(-?\d+))?\s*(?:@\s*p=(\d+))?", s)
@@ -567,13 +614,16 @@ def parse_element(cfg: FieldConfig, s: str) -> FieldElement:
             raise ParseError(f"bad p-adic element {s!r}")
         if m.group(3) and int(m.group(3)) != cfg.p:
             raise ParseError(f"prime mismatch: {m.group(3)} vs {cfg.p}")
-        return FieldElement(cfg, (int(m.group(1)), int(m.group(2) or 1)))
+        e = FieldElement(cfg, (int(m.group(1)), int(m.group(2) or 1)))
+        if bound is not None and not e.is_zero() and abs(e.v) > bound:
+            raise ParseError(f"valuation {e.v} is out of range: at most {bound} in absolute value")
+        return e
     m = re.fullmatch(r"\((.*?)\)\s*/\s*\((.*?)\)\s*(?:mod\s*(\d+))?", s)
     if m:
         if m.group(3) and int(m.group(3)) != cfg.p:
             raise ParseError(f"prime mismatch: {m.group(3)} vs {cfg.p}")
-        num = laurent_from_terms(cfg, parse_laurent_terms(m.group(1)))
-        den = laurent_from_terms(cfg, parse_laurent_terms(m.group(2)))
+        num = laurent_from_terms(cfg, parse_laurent_terms(m.group(1), bound))
+        den = laurent_from_terms(cfg, parse_laurent_terms(m.group(2), bound))
         return num / den
     # Laurent polynomial shorthand, e.g. "t^-3+t^4", "0", "1+t"
     m2 = re.fullmatch(r"(.*?)\s*(?:mod\s*(\d+))?", s)
@@ -582,7 +632,7 @@ def parse_element(cfg: FieldConfig, s: str) -> FieldElement:
         raise ParseError(f"prime mismatch: {m2.group(2)} vs {cfg.p}")
     if body.strip() == "0":
         return cfg.zero()
-    return laurent_from_terms(cfg, parse_laurent_terms(body))
+    return laurent_from_terms(cfg, parse_laurent_terms(body, bound))
 
 
 def parse_field(s: str) -> FieldConfig:

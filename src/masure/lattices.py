@@ -101,15 +101,12 @@ def column_normal_form(lat: Lattice) -> Mat2:
         else:
             f = b21 / b22
             b11, b21 = b11 - f * b12, cfg.zero()
-    # normalize pivots to powers of the uniformizer
-    u1 = b11 / cfg.uniformizer_pow(b11.valuation())
-    b11 = b11 / u1
-    b12 = b12  # only column 1 scaled
-    u2 = b22 / cfg.uniformizer_pow(b22.valuation())
-    b12 = b12 / u2
-    b22 = b22 / u2
+    # normalize the pivots to uniformizer powers: divide column 2 by the unit
+    # of b22 (column 1 by that of b11 leaves b12 alone)
+    v1, v2 = b11.valuation(), b22.valuation()
+    b12 = b12 / (b22 / cfg.uniformizer_pow(v2))
     # reduce the off-diagonal entry modulo b11 * O
-    b12 = tail_reduce(b12, b11.valuation()).value
+    b12 = tail_reduce(b12, v1).value
     # scale the class: first pivot becomes 1
-    scale = cfg.uniformizer_pow(-b11.valuation())
-    return Mat2(b11 * scale, b12 * scale, cfg.zero(), b22 * scale)
+    return Mat2(cfg.one(), b12 * cfg.uniformizer_pow(-v1),
+                cfg.zero(), cfg.uniformizer_pow(v2 - v1))

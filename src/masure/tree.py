@@ -105,17 +105,23 @@ def point_to_str(p: TreePoint) -> str:
     return f"({p.x}; {body})"
 
 
-def parse_point(cfg: FieldConfig, s: str) -> TreePoint:
-    """Inverse of point_to_str; accepts any field-element syntax for the tail."""
+def parse_point(cfg: FieldConfig, s: str, bound: int | None = None) -> TreePoint:
+    """Inverse of point_to_str; accepts any field-element syntax for the tail.
+    With a bound, |x| and the tail's exponents (see parse_element) must be at
+    most bound, and x must be written without a decimal exponent."""
     s = s.strip()
     if not (s.startswith("(") and s.endswith(")")) or ";" not in s:
         raise ParseError(f"point syntax is (x; tail), got {s!r}")
-    xs, ts = s[1:-1].split(";", 1)
+    xs, ts = (part.strip() for part in s[1:-1].split(";", 1))
+    if bound is not None and "e" in xs.lower():
+        raise ParseError(f"point position {xs!r}: write it as an integer, a/b or a decimal")
     try:
-        x = Fraction(xs.strip())
+        x = Fraction(xs)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"point position {xs.strip()!r} is not a rational") from None
-    return make_point(cfg, x, parse_element(cfg, ts.strip()))
+        raise ParseError(f"point position {xs!r} is not a rational") from None
+    if bound is not None and abs(x) > bound:
+        raise ParseError(f"point position {x} is out of range: at most {bound} in absolute value")
+    return make_point(cfg, x, parse_element(cfg, ts, bound))
 
 
 def origin(cfg: FieldConfig) -> TreePoint:

@@ -1,11 +1,20 @@
 """CLI dispatch: outputs, exit codes, JSON round-trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from test_cone import apply_word
 
-from masure.cli import BALL_MAX_VERTICES, GM_MAX_N, _ball_size, main
+from masure.cli import (
+    BALL_MAX_VERTICES,
+    BALL_TERMS_PER_VERTEX,
+    GEODESIC_MAX_N,
+    GM_MAX_N,
+    TREE_MAX_EXPONENT,
+    _ball_size,
+    main,
+)
 from masure.fields import parse_field
 from masure import tree
 from masure.kmdata import affine_sl2_data
@@ -535,3 +544,76 @@ def test_data_file_argument(tmp_path, capsys):
     code, out, _ = run(capsys, "roots", "--data", f"@{f}", "--max-height", "1", "--json")
     assert code == 0
     assert json.loads(out)["by_height"]["1"] == [[0, 1], [1, 0]]
+
+
+class TestTreeSizeBudget:
+    """Exponents and positions up to TREE_MAX_EXPONENT are taken, one more is
+    a one-line usage error."""
+
+    CAP = TREE_MAX_EXPONENT
+
+    def test_laurent_exponent(self, capsys):
+        code, out, _ = run(capsys, "tree", "exchange", "--field", "F2(t)", "--a",
+                           f"t^-{self.CAP}+t^{self.CAP}", "--json")
+        assert code == 0 and json.loads(out)["vertex"] == str(-self.CAP)
+        for a in (f"t^-{self.CAP + 1}", f"t^{self.CAP + 1}", f"(1)/(1+t^{self.CAP + 1})"):
+            code, out, err = run(capsys, "tree", "exchange", "--field", "F2(t)", "--a", a)
+            assert_usage_error(code, out, err)
+            assert str(self.CAP) in err
+
+    def test_padic_valuation(self, capsys):
+        big = 3 ** self.CAP
+        code, out, _ = run(capsys, "tree", "exchange", "--field", "Q3", "--a", f"1/{big}",
+                           "--json")
+        assert code == 0 and json.loads(out)["vertex"] == str(-self.CAP)
+        assert_usage_error(*run(capsys, "tree", "exchange", "--field", "Q3",
+                                "--a", f"{3 * big}"))
+
+    def test_matrix_entry(self, capsys):
+        g = f'[["1","t^-{self.CAP}"],["0","1"]]'
+        code, out, _ = run(capsys, "tree", "act", "--field", "F3(t)", "--g", g, "--p", "(0; 0)")
+        assert code == 0 and out.strip() == f"(0; t^-{self.CAP})"
+        g = f'[["1","t^-{self.CAP + 1}"],["0","1"]]'
+        assert_usage_error(*run(capsys, "tree", "act", "--field", "F3(t)", "--g", g,
+                                "--p", "(0; 0)"))
+
+    @pytest.mark.parametrize("field, tail", [("F2(t)", "(1)/(1+t)"), ("Q3", "1/2")])
+    def test_position(self, capsys, field, tail):
+        code, out, _ = run(capsys, "tree", "neighbors", "--field", field,
+                           "--p", f"(-{self.CAP}; {tail})")
+        assert code == 0 and len(out.splitlines()) == parse_field(field).p + 1
+        code, out, _ = run(capsys, "tree", "dist", "--field", field,
+                           "--p", f"({self.CAP}; 0)", "--q", f"(-{self.CAP}; 0)")
+        assert code == 0 and out.strip() == str(2 * self.CAP)
+        for p in (f"(-{self.CAP + 1}; {tail})", f"({2 * self.CAP + 1}/2; 0)", "(1e9; 0)",
+                  "(1e999999999; 0)"):
+            assert_usage_error(*run(capsys, "tree", "dist", "--field", field,
+                                    "--p", p, "--q", "(0; 0)"))
+
+    def test_geodesic_points(self, capsys):
+        code, out, _ = run(capsys, "tree", "geodesic", "--field", "F2(t)", "--p", "(0; 0)",
+                           "--q", "(1; 0)", "--n", str(GEODESIC_MAX_N))
+        assert code == 0 and len(out.splitlines()) == GEODESIC_MAX_N + 1
+        for n in (0, GEODESIC_MAX_N + 1, 10 ** 9):
+            assert_usage_error(*run(capsys, "tree", "geodesic", "--field", "F2(t)",
+                                    "--p", "(0; 0)", "--q", "(1; 0)", "--n", str(n)))
+
+    def test_ball_counts_the_center_tail(self, capsys):
+        # radius 12 over F2(t): 12286 vertices, within the budget at the origin
+        # and over it once each vertex counts 1 + 22/128 times
+        assert _ball_size(2, 12) * (1 + Fraction(22, BALL_TERMS_PER_VERTEX)) > BALL_MAX_VERTICES
+        code, out, err = run(capsys, "tree", "ball", "--field", "F2(t)", "--radius", "12",
+                             "--p", "(-10; t^-12)")
+        assert_usage_error(code, out, err)
+        assert "22 exponents" in err
+        code, out, _ = run(capsys, "tree", "ball", "--field", "F2(t)", "--radius", "11",
+                           "--p", "(-10; t^-12)")
+        assert code == 0 and out.startswith(f"{_ball_size(2, 11)} vertices")
+
+
+def test_ball_of_radius_zero_lists_no_neighbors(capsys):
+    """The ball of radius 0 is its center alone, whatever the residue field's
+    size: over Q with p = 1000003 its p + 1 neighbors are never built."""
+    code, out, _ = run(capsys, "tree", "ball", "--field", "Q1000003", "--radius", "0",
+                       "--format", "json")
+    assert code == 0 and json.loads(out) == {"vertices": ["(0; 0)"], "edges": []}

@@ -1,6 +1,7 @@
 """Valued-field kernel: arithmetic, valuations, residues, tails, parsing."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -363,3 +364,58 @@ def test_canonical_form_unique():
     a = (t(F2, 1) + F2.one()) / (t(F2, 2) - F2.one())
     b = F2.one() / (t(F2, 1) + F2.one())
     assert a == b and hash(a) == hash(b)
+
+
+def _pi_order(cfg, r) -> int:
+    """Test-local pi-order of a nonzero ring element: t over F_p[t], p over Z."""
+    if isinstance(cfg, LaurentField):
+        return next(i for i, c in enumerate(r) if c)
+    k = 0
+    while r % cfg.p == 0:
+        r, k = r // cfg.p, k + 1
+    return k
+
+
+def _assert_pi_power_times_unit(e):
+    """e is stored as pi^v * num/den with num, den units, coprime, den
+    normalized; zero iff v is INF; and v is the pi-order of e.value."""
+    cfg, num, den = e.config, e.num, e.den
+    if isinstance(cfg, LaurentField):
+        assert den[-1] == 1 and den[0] != 0
+        assert e.is_zero() or (num[0] != 0 and poly_gcd(num, den, cfg.p) == (1,))
+    else:
+        assert den > 0 and den % cfg.p != 0
+        assert e.is_zero() or (num % cfg.p != 0 and gcd(num, den) == 1)
+    assert e.is_zero() == (e.v is INF) == (e.valuation() is INF)
+    if not e.is_zero():
+        vnum, vden = e.value
+        assert e.valuation() == e.v == _pi_order(cfg, vnum) - _pi_order(cfg, vden)
+
+
+@pytest.mark.parametrize("cfg", [F2, F3, Q3, Q5], ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_results_are_pi_power_times_unit(cfg, data):
+    elems = _laurent_elems(cfg) if isinstance(cfg, LaurentField) else _padic_elems(cfg)
+    a, b = data.draw(elems), data.draw(elems)
+    k = data.draw(st.integers(min_value=-4, max_value=6))
+    # (a + b) - a cancels the leading terms of a whenever val(a + b) = val(a)
+    results = [a, b, a + b, a - b, (a + b) - a, a - a, a * b, -a, tail_reduce(a, k).value]
+    if not b.is_zero():
+        results += [a / b, b.inverse(), (a * b) / b, b.inverse().inverse()]
+    for e in results:
+        _assert_pi_power_times_unit(e)
+
+
+@pytest.mark.parametrize("cfg", [F2, F3, Q3, Q5], ids=str)
+def test_pi_power_times_unit_cases(cfg):
+    """Sums of equal valuation, quotients with a common factor, and inverses of
+    units whose leading coefficient resp. sign must be normalized."""
+    pi, one = t(cfg, 1), cfg.one()
+    u = one + cfg.from_int(-1) * pi  # 1 - pi: a unit
+    cases = [pi + (pi * pi - pi), (one / u) * u, u.inverse(), (-u).inverse(),
+             (cfg.from_int(2) - pi).inverse(), (pi / u) * (u / pi), pi - pi,
+             tail_reduce(one / u, 4).value]
+    assert cases[0] == pi * pi and cases[1] == one and cases[6].is_zero()
+    for e in cases:
+        _assert_pi_power_times_unit(e)
