@@ -361,11 +361,11 @@ def _cmd_tree(args) -> int:
                 lines.append(f"  n{i} -- n{j};")
             lines.append("}")
             print("\n".join(lines))
+        elif args.format == "json":
+            _emit({"vertices": [tree.point_to_str(v) for v in verts],
+                   "edges": [list(e) for e in edges]}, True)
         else:
-            obj = {"vertices": [tree.point_to_str(v) for v in verts],
-                   "edges": [list(e) for e in edges]}
-            _emit(obj, args.format == "json",
-                  f"{len(verts)} vertices, {len(edges)} edges")
+            print(f"{len(verts)} vertices, {len(edges)} edges")
     elif sub == "orbit":
         orbit = tree.orbit_class(_point(cfg, args.p))
         _emit({"orbit_class": orbit}, args.json, str(orbit))
