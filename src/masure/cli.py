@@ -205,26 +205,50 @@ def _cmd_weyl(args) -> int:
     return 0
 
 
+# The most greedy steps cone takes, the default cap (10 per unit of the
+# vector's size) included.  A vector outside the Tits cone that no ray
+# refutes early, such as one with delta(v) = 0 on affine data, runs the
+# whole cap: 5000 steps take 0.8 s on [[2,-2],[-2,2]] and 1.3-1.4 s on
+# affine A2 and A3 (2-core x86-64 VM, Python 3.11.7).
+CONE_MAX_CAP = 5000
+
+
 def _cmd_cone(args) -> int:
-    if args.cap is not None and args.cap < 1:
-        raise UsageError(f"--cap must be >= 1, got {args.cap}")
+    if args.cap is not None and not 1 <= args.cap <= CONE_MAX_CAP:
+        raise UsageError(f"--cap must be in 1..{CONE_MAX_CAP}, got {args.cap}")
     data = _data_arg(args.data)
-    cert = cone.normalize_to_dominant(data, _vec_arg(args.vector, data.rank), args.cap)
+    v = _vec_arg(args.vector, data.rank)
+    cap = args.cap or min(cone.default_cap(v), CONE_MAX_CAP)
+    cert = cone.normalize_to_dominant(data, v, cap)
     if isinstance(cert, cone.InCone):
         obj = {"status": "in_cone", "word": list(cert.w.word),
                "image": [_frac_str(x) for x in cert.image], "steps": cert.steps}
     elif isinstance(cert, cone.NotInCone):
-        obj = {"status": "not_in_cone", "reason": cert.reason}
+        ray, step = cert.witness
+        obj = {"status": "not_in_cone", "reason": cert.reason, "ray": list(ray), "step": step}
     else:
         obj = {"status": "unknown", "steps": cert.steps}
     _emit(obj, True)
     return 0
 
 
+# The largest sum of |coordinates| of a root that prenilpotent takes.  The
+# witnesses and the interval's inversion set grow with the reflection word,
+# about twice the height on affine data: with the simple root of the last
+# index, roots of height 297-299 take 0.6 s on [[2,-2],[-2,2]], 0.7 s on
+# [[2,-1],[-4,2]], 1.0 s on affine A2 and 1.3 s on affine A3 (2-core
+# x86-64 VM, Python 3.11.7).
+PRENILPOTENT_MAX_HEIGHT = 300
+
+
 def _find_root(data: kmdata.KacMoodyData, text: str) -> weyl.RealRoot:
     coords = _vec_arg(text, data.n)
     if any(x.denominator != 1 for x in coords):
         raise UsageError(f"{text!r}: root coordinates must be integers")
+    if sum(abs(x) for x in coords) > PRENILPOTENT_MAX_HEIGHT:
+        raise UsageError(f"{text!r}: the coordinates sum to more than "
+                         f"{PRENILPOTENT_MAX_HEIGHT} in absolute value, the highest root "
+                         "prenilpotent takes")
     v = kmdata.RootVector(tuple(int(x) for x in coords))
     found = weyl.find_real_root(data, v)
     if found is None:
@@ -393,13 +417,24 @@ def _parse_path(text: str, dim: int) -> hecke.PiecewisePath:
     )
 
 
+# The largest H (root height), L (word length) and k_max (reflections per
+# fold chain) hecke verify takes.  The work multiplies: on the rank-3
+# hyperbolic [[2,-2,0],[-2,2,-1],[0,-1,2]], a path with one fold that no
+# chain explains takes 0.5 s at the default 9,6,3, 0.9-1.0 s at 12,16,3,
+# 1.7 s at 9,6,4 and 4.8 s at 12,16,4 (2-core x86-64 VM, Python 3.11.7).
+# At rank 4 the same path takes 3.8 s at 12,16,3.
+HECKE_MAX_BOUNDS = (12, 16, 3)
+
+
 def _bounds_arg(text: str) -> tuple[int, int, int]:
     try:
         hb, wb, kmax = (int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"--bounds takes H,L,k_max as three integers, got {text!r}") from None
-    if hb < 1 or wb < 0 or kmax < 1:
-        raise UsageError(f"--bounds needs H >= 1, L >= 0 and k_max >= 1, got {text!r}")
+    h_cap, l_cap, k_cap = HECKE_MAX_BOUNDS
+    if not (1 <= hb <= h_cap and 0 <= wb <= l_cap and 1 <= kmax <= k_cap):
+        raise UsageError(f"--bounds needs 1 <= H <= {h_cap}, 0 <= L <= {l_cap} and "
+                         f"1 <= k_max <= {k_cap}, got {text!r}")
     return hb, wb, kmax
 
 
@@ -520,9 +555,23 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own usage errors, so that main prints them on one
+    line; subparsers are built with the same class."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops the value of --option=-- and stores an empty list
+        if arg_strings == ["--"] and action.nargs is None:
+            self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="masure",
-                                 description="exact Bruhat-Tits tree / Kac-Moody computations")
+    ap = _Parser(prog="masure",
+                 description="exact Bruhat-Tits tree / Kac-Moody computations")
     ap.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                     help="seed for randomized checks")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -546,12 +595,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cone", help="Tits cone membership certificate")
     p.add_argument("--data", required=True)
     p.add_argument("--vector", required=True, help="comma-separated rationals")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None,
+                   help=f"greedy steps, 1..{CONE_MAX_CAP} (default 10 per unit of the vector's "
+                        f"size, at most {CONE_MAX_CAP})")
     p.set_defaults(fn=_cmd_cone)
 
     p = sub.add_parser("prenilpotent", help="prenilpotent pair verdict and interval")
     p.add_argument("--data", required=True)
-    p.add_argument("--alpha", required=True, help="root coordinates")
+    p.add_argument("--alpha", required=True,
+                   help=f"root coordinates, summing to at most {PRENILPOTENT_MAX_HEIGHT} "
+                        "in absolute value")
     p.add_argument("--beta", required=True)
     p.set_defaults(fn=_cmd_prenilpotent)
 
@@ -598,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON {"breakpoints": [...], "positions": [[...]]} or @file')
     q.add_argument("--shape", required=True)
     q.add_argument("--chamber", choices=("+", "-"), default="-")
-    q.add_argument("--bounds", default="9,6,3", help="H,L,k_max")
+    q.add_argument("--bounds", default="9,6,3",
+                   help="H,L,k_max, at most {},{},{}".format(*HECKE_MAX_BOUNDS))
     p.set_defaults(fn=_cmd_hecke)
 
     p = sub.add_parser("gm", help="print a divided-power exponential coefficient")
@@ -641,9 +695,8 @@ def _glue_signed(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(_glue_signed(sys.argv[1:] if argv is None else argv))
     try:
+        args = build_parser().parse_args(_glue_signed(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,17 +2,12 @@
 prenilpotent pairs and closed root intervals.
 
 Membership certificates are exact.  Greedy normalization handles every
-vector of the cone; outside it, type-specific witnesses decide for finite
-type (vacuous), affine type (the delta criterion, A delta = 0) and data
-whose W-invariant form is Lorentzian (``kmdata.lorentzian_form``:
-symmetrizable hyperbolic type, which holds every rank-2 indefinite A).
-Other vectors and types report Unknown.
-
-Where the form exists, write (v|v) = p^T M p in the chamber coordinates
-p_i = alpha_i(v).  The Tits cone lies in the closed nappe of {(v|v) <= 0}
-that holds the fundamental chamber, on which (v|rho^vee) = p^T M 1 <= 0.
-These tests read only A and the pairings, so they give the same verdict
-in every realization.
+vector of the cone.  Outside it, one certificate serves every type: a ray
+c of {c >= 0, A c <= 0} (``kmdata.imaginary_rays``) gives phi = sum c_j
+alpha_j >= 0 on the W-stable Tits cone (Kac, Infinite-dimensional Lie
+algebras, Prop. 3.12, applied to -phi), so phi < 0 at a greedy iterate
+refutes v.  It reads only A and p_i = alpha_i(v), so the verdict is the
+same in every realization.  Other vectors report Unknown.
 """
 
 from __future__ import annotations
@@ -26,8 +21,7 @@ from .kmdata import (
     RootVector,
     classify,
     decompose,
-    delta_coefficients,
-    lorentzian_form,
+    imaginary_rays,
     simple_root_vector,
 )
 from .weyl import (
@@ -82,48 +76,37 @@ def default_cap(v) -> int:
     return 10 * (1 + sum(abs(Fraction(x).numerator) + Fraction(x).denominator for x in v))
 
 
-def _neg_index(data: KacMoodyData, v) -> int | None:
-    for i in range(data.n):
-        if data.pair(data.simple_roots[i], v) < 0:
-            return i
-    return None
+RAY_REASON = "sum c_j alpha_j < 0 at a greedy iterate, for a ray c of {c >= 0, A c <= 0}"
 
 
 def normalize_to_dominant(data: KacMoodyData, v, cap: int | None = None) -> Certificate:
-    """Greedily reflect at the smallest negative simple root until dominant.
-
-    Inside the Tits cone the procedure terminates.  When the W-invariant
-    form is Lorentzian, a spacelike v, or a v in the past nappe, is refuted
-    before any reflection, with the form value as witness.  Otherwise, when
-    the cap runs out, the affine delta criterion provides a checkable
-    refutation, and other vectors get Unknown.
-    """
+    """Greedily reflect at the smallest negative simple root until dominant,
+    refuting v at the first iterate where c.p < 0 for a ray c with A c != 0,
+    with the witness (c, step).  Inside the Tits cone the run terminates;
+    when the cap runs out, the rays with A c = 0 may still refute v."""
     vv = tuple(Fraction(x) for x in v)
     if cap is None:
         cap = default_cap(vv)
     if cap < 1:
         raise ConeError("cap must be >= 1")
-    form = lorentzian_form(data.matrix)
-    if form is not None:
-        p = _chamber_coords(data, vv)
-        norm = _form_value(form, p, p)
-        if norm > 0:
-            return NotInCone("v is spacelike: (v|v) > 0", norm)
-        nappe = _form_value(form, p, (1,) * data.n)
-        if nappe > 0:
-            return NotInCone("v lies in the past nappe: (v|rho^vee) > 0", nappe)
     return _greedy(data, vv, cap) or _refute(data, vv) or Unknown(cap)
 
 
-def _greedy(data: KacMoodyData, v: tuple, cap: int) -> InCone | None:
-    """The greedy run on v; None when it is not dominant after cap reflections."""
-    cur = v
-    word: list[int] = []
+def _greedy(data: KacMoodyData, cur: tuple, cap: int) -> InCone | NotInCone | None:
+    """The greedy run on cur; None when it is undecided after cap reflections."""
+    a = data.matrix.entries
+    rays = [c for c in imaginary_rays(data.matrix) if any(_dot(row, c) for row in a)]
+    p, word = _chamber_coords(data, cur), []
     for step in range(cap + 1):
-        i = _neg_index(data, cur)
+        ray = next((c for c in rays if _dot(c, p) < 0), None)
+        if ray is not None:
+            return NotInCone(RAY_REASON, (ray, step))
+        i = next((i for i, x in enumerate(p) if x < 0), None)
         if i is None:
             return InCone(weyl_element(data, tuple(word)), cur, step)
         cur = simple_reflect(data, i, cur)
+        # alpha_j(r_i v) = alpha_j(v) - alpha_i(v) a_ij
+        p = tuple(x - p[i] * y for x, y in zip(p, a[i]))
         word.insert(0, i)
     return None
 
@@ -132,22 +115,24 @@ def _chamber_coords(data: KacMoodyData, v) -> tuple[Fraction, ...]:
     return tuple(data.pair(root, v) for root in data.simple_roots)
 
 
-def _form_value(form, p, q) -> Fraction:
-    """p^T form q."""
-    return sum((x * c * y for x, row in zip(p, form) for c, y in zip(row, q)), start=Fraction(0))
+def _dot(c, p):
+    return sum(x * y for x, y in zip(c, p))
 
 
 def _refute(data: KacMoodyData, v) -> NotInCone | None:
-    """The affine delta criterion against v; None when it does not apply."""
-    delta = delta_coefficients(data)
-    if delta is None:
-        return None
+    """A ray c with A c = 0 spans a W-invariant phi (delta of an affine
+    block): phi(v) < 0 refutes v, and so does phi(v) = 0 with some p_j != 0
+    where c_j != 0.  _greedy leaves these rays to the cap, as the delta
+    criterion was: read first, they end the whole-cap runs on affine data, a
+    speed-up that waits for a benchmark whose peak RSS does not grow with
+    its query count."""
     p = _chamber_coords(data, v)
-    dv = sum(c * x for c, x in zip(delta, p))
-    if dv < 0:
-        return NotInCone("delta(v) < 0", dv)
-    if dv == 0 and any(x != 0 for x in p):
-        return NotInCone("delta(v) = 0 but v is not inessential", dv)
+    for c in imaginary_rays(data.matrix):
+        if not any(_dot(row, c) for row in data.matrix.entries):
+            if _dot(c, p) < 0:
+                return NotInCone(RAY_REASON, (c, 0))
+            if _dot(c, p) == 0 and any(x != 0 for x, y in zip(p, c) if y):
+                return NotInCone("delta(v) = 0 but v is not inessential", (c, 0))
     return None
 
 
@@ -167,8 +152,7 @@ def face_of(data: KacMoodyData, v, cap: int | None = None) -> FaceDescriptor:
     for u, sign in ((v, +1), (tuple(-Fraction(x) for x in v), -1)):
         cert = normalize_to_dominant(data, u, cap)
         if isinstance(cert, InCone):
-            j = tuple(i for i in range(data.n)
-                      if data.pair(data.simple_roots[i], cert.image) == 0)
+            j = tuple(i for i, x in enumerate(_chamber_coords(data, cert.image)) if x == 0)
             return FaceDescriptor(cert.w.inverse(), j, sign)
     raise NotInTitsCone(f"no face certificate for {v}")
 
@@ -264,17 +248,21 @@ def prenilpotent_pair(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
 
 
 def _shortened(data: KacMoodyData, word, images, sign) -> WeylElement:
-    """w = word, reduced, less the left letters r_i whose removal keeps each w(gamma) in sign."""
+    """w = word, reduced, less left descents r_i whose removal keeps each
+    w(gamma) in sign: the leading letter first, then the others by index."""
     _, word = length_and_reduce(data, word)
-    k = 0
-    for i in word:
-        alpha_i = simple_root_vector(data.n, i)
-        moved = [v - alpha_i.scale(sum(a * x for a, x in zip(data.matrix.entries[i], v.coeffs)))
-                 for v in images]
-        if not all(sign(v) for v in moved):
-            break
-        images, k = moved, k + 1
-    return weyl_element(data, word[k:])
+    while True:
+        for i in word[:1] + tuple(range(data.n)):
+            alpha_i = simple_root_vector(data.n, i)
+            moved = [v - alpha_i.scale(_dot(data.matrix.entries[i], v.coeffs)) for v in images]
+            if all(sign(v) for v in moved):
+                length, shorter = ((len(word) - 1, word[1:]) if word[:1] == (i,)
+                                   else length_and_reduce(data, (i,) + word))
+                if length < len(word):
+                    word, images = shorter, moved
+                    break
+        else:
+            return weyl_element(data, word)
 
 
 def closed_interval(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,

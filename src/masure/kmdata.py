@@ -2,12 +2,14 @@
 
 Validation of the three matrix axioms, decomposition into indecomposable
 blocks, the finite/affine/indefinite trichotomy by the exact inertia of the
-symmetrized matrix, and free realizations (lattices plus simple roots/coroots
-with the compatibility pairing).
+symmetrized matrix, the extreme rays of {c >= 0, A c <= 0}, and free
+realizations (lattices plus simple roots/coroots with the compatibility
+pairing).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -61,21 +63,17 @@ class KacMoodyMatrix:
     def submatrix(self, idx: tuple[int, ...]) -> "KacMoodyMatrix":
         return KacMoodyMatrix(tuple(tuple(self.entries[i][j] for j in idx) for i in idx))
 
-    # The type, delta and form depend on the entries alone, and cone queries
-    # on one datum ask for them on every call: each is computed once per
-    # matrix and lives as long as it does.
+    # The type and the rays depend on the entries alone, and cone queries on
+    # one datum ask for them on every call: each is computed once per matrix
+    # and lives as long as it does.
 
     @cached_property
     def _kind(self) -> "KMClass":
         return _classify(self)
 
     @cached_property
-    def _delta(self) -> tuple[int, ...] | None:
-        return _delta_coefficients(self)
-
-    @cached_property
-    def _form(self) -> tuple[tuple[Fraction, ...], ...] | None:
-        return _lorentzian_form(self)
+    def _rays(self) -> tuple[tuple[int, ...], ...]:
+        return _imaginary_rays(self)
 
 
 def validate(rows) -> KacMoodyMatrix:
@@ -116,10 +114,6 @@ def decompose(a: KacMoodyMatrix) -> list[tuple[int, ...]]:
                     stack.append(j)
         comps.append(tuple(sorted(comp)))
     return comps
-
-
-def is_indecomposable(a: KacMoodyMatrix) -> bool:
-    return len(decompose(a)) == 1
 
 
 def _symmetrized(a: KacMoodyMatrix) -> list[list[Fraction]] | None:
@@ -182,7 +176,7 @@ def classify(a: KacMoodyMatrix) -> KMClass:
 
 
 def _classify(a: KacMoodyMatrix) -> KMClass:
-    if not is_indecomposable(a):
+    if len(decompose(a)) != 1:
         raise Decomposable("classification requires an indecomposable matrix")
     b = _symmetrized(a)
     if b is None:
@@ -338,47 +332,49 @@ def delta_coefficients(data: KacMoodyData) -> tuple[int, ...] | None:
     """For affine data: the primitive positive integer vector a with A a = 0,
     so that delta = sum a_i alpha_i vanishes on every simple coroot.  None if
     not affine."""
-    return data.matrix._delta
+    a = data.matrix
+    return imaginary_rays(a)[0] if classify(a) == KMClass.AFFINE else None
 
 
-def _delta_coefficients(a: KacMoodyMatrix) -> tuple[int, ...] | None:
-    if classify(a) != KMClass.AFFINE:
-        return None
-    v = kernel_basis(a.entries)[0]
-    if v[0] < 0:
-        v = tuple(-x for x in v)
-    denom = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * denom) for x in v]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+# The largest indefinite block whose rays are enumerated, from C(2m, m - 1)
+# kernels: 792 at m = 6 take 0.45 s, 3003 at m = 7 2.4 s (off-diagonal -3,
+# 2-core x86-64 VM, Python 3.11.7).  A larger block gives no ray.
+RAYS_MAX_BLOCK = 6
 
 
-def lorentzian_form(a: KacMoodyMatrix) -> tuple[tuple[Fraction, ...], ...] | None:
-    """The W-invariant form in the chamber coordinates p_i = alpha_i(v),
-    when it confines the Tits cone to one closed nappe; else None.
-
-    Write A = D B with D positive diagonal and B symmetric.  A simple
-    reflection acts by p_j -> p_j - p_i a[i][j], and p^T B^-1 p is invariant.
-    The matrix M = B^-1 is returned when B has inertia (n-1, 1) and M has no
-    positive entry, as for symmetrizable hyperbolic A (Kac,
-    Infinite-dimensional Lie algebras, ch. 5).  Then the form is <= 0 on the
-    fundamental chamber, so the Tits cone lies in {p^T M p <= 0, p^T M 1 <= 0}.
-    The inertia is read off B before any inversion, so finite and affine
-    data, and n = 1, return None without one.
-    """
-    return a._form
+def imaginary_rays(a: KacMoodyMatrix) -> tuple[tuple[int, ...], ...]:
+    """The extreme rays of {c >= 0, A c <= 0}, the chamber side of the
+    imaginary cone (Kac, 5.3), as sorted primitive integer vectors: none on
+    a finite block, delta on an affine one, and on an indefinite block of
+    size m the kernels of m - 1 of its 2m constraints that meet all 2m."""
+    return a._rays
 
 
-def _lorentzian_form(a: KacMoodyMatrix) -> tuple[tuple[Fraction, ...], ...] | None:
-    n = a.n
-    b = _symmetrized(a)
-    if b is None or _inertia(b) != (n - 1, 1):
-        return None
-    m = rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(b)])[0]
-    form = tuple(tuple(row[n:]) for row in m)
-    if any(x > 0 for row in form for x in row):
-        return None
-    return form
+def _imaginary_rays(a: KacMoodyMatrix) -> tuple[tuple[int, ...], ...]:
+    rays = set()
+    for comp in decompose(a):
+        block, m = a.submatrix(comp), len(comp)
+        # one row g per constraint g.c >= 0: c_i >= 0, and -(A c)_i >= 0
+        rows = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+        rows += [tuple(-x for x in row) for row in block.entries]
+        kind, tight_sets = classify(block), []
+        if kind == KMClass.AFFINE:  # the kernel of A, spanned by delta > 0
+            tight_sets = [block.entries]
+        elif kind == KMClass.INDEFINITE and m <= RAYS_MAX_BLOCK:
+            tight_sets = itertools.combinations(rows, m - 1)
+        for tight in tight_sets:
+            basis = kernel_basis(tight)
+            if len(basis) != 1:
+                continue
+            for c in (basis[0], tuple(-x for x in basis[0])):
+                if all(sum(g * x for g, x in zip(row, c)) >= 0 for row in rows):
+                    scale = math.lcm(*(x.denominator for x in c))
+                    ray = [0] * a.n
+                    for i, x in zip(comp, c):
+                        ray[i] = int(x * scale)
+                    g = math.gcd(*ray)
+                    rays.add(tuple(x // g for x in ray))
+    return tuple(sorted(rays))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI dispatch: outputs, exit codes, JSON round-trips."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,16 @@ from test_cone import apply_word
 from masure.cli import (
     BALL_MAX_VERTICES,
     BALL_TERMS_PER_VERTEX,
+    CONE_MAX_CAP,
     GEODESIC_MAX_N,
     GM_MAX_N,
+    HECKE_MAX_BOUNDS,
+    PRENILPOTENT_MAX_HEIGHT,
     TREE_MAX_EXPONENT,
     _ball_size,
     main,
 )
-from masure.fields import parse_field
+from masure.fields import PRIME_LIMIT, parse_field
 from masure import tree
 from masure.kmdata import affine_sl2_data
 from masure.weyl import weyl_element
@@ -48,10 +52,11 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--matrix", "[[2,1],[1,2]]")
         assert code == 1 and "axiom" in err
 
-    def test_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["classify"])
-        assert exc.value.code == 2
+    def test_usage_error(self, capsys):
+        code, out, err = run(capsys, "classify")
+        assert_usage_error(code, out, err)
+        assert err == ("usage error: masure classify: the following arguments are required: "
+                       "--matrix\n")
 
     @pytest.mark.parametrize("matrix", ["5", "{}", "[]", "[1, 2]", '[[2,"a"],[0,2]]',
                                         "[[2,-1.5],[-1,2]]", "x"])
@@ -97,10 +102,15 @@ class TestTree:
         ("retract", "--field", "F2(t)", "--p", "(0; 0)", "--q", "(1; 0)", "--center", "bogus"),
         ("retract", "--field", "F2(t)", "--p", "(0; 0)", "--q", "(1; 0)", "--center", "+inf"),
     ])
-    def test_unknown_option_or_value(self, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(["tree", *argv])
-        assert exc.value.code == 2
+    def test_unknown_option_or_value(self, capsys, argv):
+        assert_usage_error(*run(capsys, "tree", *argv))
+
+    @pytest.mark.parametrize("argv", [("--field=--", "--p", "(0; 0)", "--q", "(1; 0)"),
+                                      ("--field", "F2(t)", "--p=--", "--q", "(1; 0)")])
+    def test_double_dash_value(self, capsys, argv):
+        # argparse drops a value written --option=--, which reached the
+        # handlers as an empty list
+        assert_usage_error(*run(capsys, "tree", "dist", *argv))
 
     def test_ball_negative_radius(self, capsys):
         assert_usage_error(*run(capsys, "tree", "ball", "--field", "F2(t)", "--radius", "-1"))
@@ -192,13 +202,13 @@ class TestAlgebraCommands:
 
     HYPERBOLIC = '{"matrix": [[2,-2,0],[-2,2,-1],[0,-1,2]]}'
 
-    @pytest.mark.parametrize("vector, reason", [
-        ("1,0,0", "v is spacelike: (v|v) > 0"),
-        ("1,1,1", "v lies in the past nappe: (v|rho^vee) > 0"),
-    ])
-    def test_cone_hyperbolic_refuted(self, capsys, vector, reason):
+    RAY = "sum c_j alpha_j < 0 at a greedy iterate, for a ray c of {c >= 0, A c <= 0}"
+
+    @pytest.mark.parametrize("vector, ray", [("1,0,0", [3, 4, 2]), ("1,1,1", [1, 1, 0])])
+    def test_cone_hyperbolic_refuted(self, capsys, vector, ray):
         code, out, _ = run(capsys, "cone", "--data", self.HYPERBOLIC, "--vector", vector)
-        assert code == 0 and json.loads(out) == {"status": "not_in_cone", "reason": reason}
+        assert code == 0 and json.loads(out) == {"status": "not_in_cone", "reason": self.RAY,
+                                                 "ray": ray, "step": 0}
 
     def test_cone_hyperbolic_in_cone(self, capsys):
         code, out, _ = run(capsys, "cone", "--data", self.HYPERBOLIC, "--vector=-1,-1,-1")
@@ -206,12 +216,22 @@ class TestAlgebraCommands:
         assert out == ('{"image": ["-1", "-1", "0"], "status": "in_cone", "steps": 1, '
                        '"word": [2]}\n')
 
-    def test_cone_non_symmetrizable_unknown(self, capsys):
+    def test_cone_non_symmetrizable_refuted(self, capsys):
+        # no Lorentzian form, and no answer but unknown before the rays
         code, out, _ = run(capsys, "cone", "--data",
                            '{"matrix": [[2,-2,-1],[-1,2,-1],[-1,-1,2]]}', "--vector", "1,0,0")
-        assert code == 0 and json.loads(out) == {"status": "unknown", "steps": 50}
+        assert code == 0 and json.loads(out) == {"status": "not_in_cone", "reason": self.RAY,
+                                                 "ray": [1, 1, 1], "step": 0}
+
+    def test_cone_decomposable(self, capsys):
+        code, out, _ = run(capsys, "cone", "--data", '{"matrix": [[2,-2,0],[-2,2,0],[0,0,2]]}',
+                           "--vector=-1,0,0,0")
+        assert code == 0 and json.loads(out) == {
+            "status": "not_in_cone", "reason": "delta(v) = 0 but v is not inessential",
+            "ray": [1, 1, 0], "step": 0}
 
     @pytest.mark.parametrize("argv", [("cone", "--vector", "1,0", "--cap", "0"),
+                                      ("cone", "--vector", "1,0", "--cap=--"),
                                       ("roots", "--max-height", "0")])
     def test_budget_below_one(self, capsys, argv):
         assert_usage_error(*run(capsys, argv[0], "--data", '{"matrix": [[2,-1],[-1,2]]}',
@@ -283,8 +303,8 @@ class TestAlgebraCommands:
     def test_cone_rank3_realization(self, capsys):
         # alpha_0^vee, refuted as in the minimal realization
         got = run(capsys, "cone", "--data", self.RANK3_REALIZATION, "--vector", "1,0,0")
-        assert got[0] == 0 and json.loads(got[1]) == {"status": "not_in_cone",
-                                                      "reason": "v is spacelike: (v|v) > 0"}
+        assert got[0] == 0 and json.loads(got[1]) == {"status": "not_in_cone", "reason": self.RAY,
+                                                      "ray": [2, 5], "step": 0}
         assert run(capsys, "cone", "--data", '{"matrix": [[2,-1],[-5,2]]}', "--vector", "1,0") == got
 
     def test_prenilpotent_rank3_realization(self, capsys):
@@ -296,9 +316,9 @@ class TestAlgebraCommands:
         assert run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-1],[-5,2]]}', *argv) == got
 
     def test_prenilpotent_high_root(self, capsys):
-        # the root is found by descent, without enumerating 20000 roots
+        # the root is found by descent, without enumerating the roots below it
         code, out, _ = run(capsys, "prenilpotent", "--data", '{"matrix": [[2,-2],[-2,2]]}',
-                           "--alpha", "10000,10001", "--beta", "1,0")
+                           "--alpha", "149,150", "--beta", "1,0")
         assert code == 0
         assert json.loads(out) == {
             "verdict": "not_prenilpotent",
@@ -332,7 +352,7 @@ class TestAlgebraCommands:
 
     @pytest.mark.parametrize("data, alpha, beta, to_negative", [
         (TWISTED, "1,0", "1,1", [1, 0]),
-        (C21, "0,0,1", "1,1,0", [2, 0, 1, 2, 1, 0]),
+        (C21, "0,0,1", "1,1,0", [2, 1, 2, 1, 0]),
     ])
     def test_prenilpotent_non_symmetric_affine(self, capsys, data, alpha, beta, to_negative):
         code, out, _ = run(capsys, "prenilpotent", "--data", data, "--alpha", alpha,
@@ -443,12 +463,12 @@ class TestHeckeCommand:
         assert_usage_error(*run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
                                 "--path", path, "--shape", "2", "--bounds", bounds))
 
-    @pytest.mark.parametrize("bounds", ["9,6,0", "0,6,3", "9,-1,3"])
+    @pytest.mark.parametrize("bounds", ["9,6,0", "0,6,3", "9,-1,3", "13,6,3", "9,17,3", "9,6,4"])
     def test_bounds_out_of_range(self, capsys, bounds):
         code, out, err = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
                              "--path", self.PATH, "--shape", "2", "--bounds=" + bounds)
         assert_usage_error(code, out, err)
-        assert "H >= 1, L >= 0 and k_max >= 1" in err
+        assert "1 <= H <= 12, 0 <= L <= 16 and 1 <= k_max <= 3" in err
 
     def test_smallest_bounds_accepted(self, capsys):
         code, out, _ = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
@@ -456,11 +476,9 @@ class TestHeckeCommand:
         assert code == 0 and json.loads(out)["verified"] is True
 
     @pytest.mark.parametrize("chamber", ["bogus", "plus"])
-    def test_unknown_chamber(self, chamber):
-        with pytest.raises(SystemExit) as exc:
-            main(["hecke", "verify", "--data", '{"matrix": [[2]]}', "--path", self.PATH,
-                  "--shape", "2", "--chamber", chamber])
-        assert exc.value.code == 2
+    def test_unknown_chamber(self, capsys, chamber):
+        assert_usage_error(*run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
+                                "--path", self.PATH, "--shape", "2", "--chamber", chamber))
 
     def test_reject(self, capsys):
         bad = ('{"breakpoints": ["0","1/2","1"], '
@@ -617,3 +635,62 @@ def test_ball_of_radius_zero_lists_no_neighbors(capsys):
     code, out, _ = run(capsys, "tree", "ball", "--field", "Q1000003", "--radius", "0",
                        "--format", "json")
     assert code == 0 and json.loads(out) == {"vertices": ["(0; 0)"], "edges": []}
+
+
+class TestSearchBudgets:
+    """A cone cap, a prenilpotent root height and hecke bounds are taken up
+    to their limits; one more is a one-line usage error."""
+
+    AFFINE = '{"matrix": [[2,-2],[-2,2]]}'
+
+    def test_cone_cap(self, capsys):
+        # delta(v) = 1 with a finite part of 6000: the greedy run needs more
+        # steps than the cap, so the CLI's default cap is clipped to it
+        for argv in ((), ("--cap", str(CONE_MAX_CAP))):
+            code, out, _ = run(capsys, "cone", "--data", self.AFFINE, "--vector", "6000,0,1",
+                               *argv)
+            assert code == 0 and json.loads(out) == {"status": "unknown", "steps": CONE_MAX_CAP}
+        code, out, err = run(capsys, "cone", "--data", self.AFFINE, "--vector", "1,0,0",
+                             "--cap", str(CONE_MAX_CAP + 1))
+        assert_usage_error(code, out, err)
+        assert f"1..{CONE_MAX_CAP}" in err
+
+    def test_prenilpotent_height(self, capsys):
+        assert PRENILPOTENT_MAX_HEIGHT == 300
+        code, out, _ = run(capsys, "prenilpotent", "--data", self.AFFINE,
+                           "--alpha", "149,150", "--beta", "0,1")
+        assert code == 0 and json.loads(out)["closed_interval"] == [[0, 1], [149, 150]]
+        code, out, err = run(capsys, "prenilpotent", "--data", self.AFFINE,
+                             "--alpha", "150,150", "--beta", "0,1")
+        assert code == 1 and err.strip().endswith("is not a real root")
+        for alpha in ("150,151", "-151,-150", "1000000000,1000000001"):
+            code, out, err = run(capsys, "prenilpotent", "--data", self.AFFINE,
+                                 f"--alpha={alpha}", "--beta", "0,1")
+            assert_usage_error(code, out, err)
+            assert "300" in err
+
+    def test_hecke_bounds(self, capsys):
+        bounds = ",".join(map(str, HECKE_MAX_BOUNDS))
+        code, out, _ = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
+                           "--path", TestHeckeCommand.PATH, "--shape", "2", "--bounds", bounds)
+        assert code == 0 and json.loads(out)["verified"] is True
+
+
+class TestPrimeField:
+    def test_large_prime_answers_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "tree", "dist", "--field", "F1000000000000000003(t)",
+                           "--p", "(0; 0)", "--q", "(1; 0)")
+        assert code == 0 and out.strip() == "1"
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("field", ["F1000000000000000001(t)", "Q1000000000000000001"])
+    def test_large_composite_rejected(self, capsys, field):
+        code, out, err = run(capsys, "tree", "dist", "--field", field, "--p", "(0; 0)",
+                             "--q", "(1; 0)")
+        assert code == 1 and out == "" and err.strip().endswith("is not prime")
+
+    def test_beyond_the_primality_limit(self, capsys):
+        code, out, err = run(capsys, "tree", "dist", "--field", f"F{PRIME_LIMIT}(t)",
+                             "--p", "(0; 0)", "--q", "(1; 0)")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1 and "too large" in err

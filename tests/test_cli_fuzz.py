@@ -1,13 +1,15 @@
-"""The tree CLI contract under random input: every call exits 0, 1 or 2,
-prints no traceback, prints exactly one line on stderr when it fails, and
-finishes within the deadline (a call still running at twice the deadline
-is stopped and fails the example).
+"""The CLI contract under random input, for tree, cone and prenilpotent:
+every call exits 0, 1 or 2, prints no traceback, prints exactly one line on
+stderr when it fails, and finishes within the deadline (a call still
+running at twice the deadline is stopped and fails the example).
 
-Subcommands and options are read from ``build_parser()``, so a new tree
-subcommand or option is drawn without editing this test; values are drawn
-by what an option takes (a field, a point, an element, a matrix, an integer
-or one of its choices), valid and invalid, with exponents and positions up
-to 10^9.
+Subcommands and options are read from ``build_parser()``, so a new
+subcommand or option of these commands is drawn without editing this test.
+Values are drawn by what an option takes (a field, a point, an element, a
+matrix, a root datum, a vector, an integer or one of its choices), valid
+and invalid, with exponents, positions and coordinates up to 10^9.  Some
+argv are ones argparse itself rejects: a required option left out, a value
+outside the choices, or an integer option given a non-integer.
 """
 
 import argparse
@@ -30,7 +32,8 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentP
     return {}
 
 
-TREE = _subparsers(_subparsers(build_parser())["tree"])
+COMMANDS = _subparsers(build_parser())
+TREE = _subparsers(COMMANDS["tree"])
 
 BIG = 10 ** 9
 small = st.integers(-12, 12)
@@ -85,31 +88,74 @@ matrices = st.one_of(
     st.just('[["0","1"],["-1","0"]]'),
     st.text(max_size=10),
 )
-by_dest = {"field": fields, "p": points, "q": points, "a": elements, "g": matrices}
-
-
-def _value(action: argparse.Action):
-    if action.choices is not None:
-        return st.sampled_from(list(action.choices))
-    if action.type is int:
-        return sizes
-    return by_dest.get(action.dest, st.one_of(fields, points, elements, matrices))
+gcm_entries = st.sampled_from([0, 0, -1, -1, -2, -3, -5, 1])
 
 
 @st.composite
-def tree_argv(draw) -> list[str]:
-    name = draw(st.sampled_from(sorted(TREE)))
-    argv = ["tree", name]
-    for action in TREE[name]._actions:
+def cartan_matrices(draw) -> list[list[int]]:
+    """Square matrices with 2 on the diagonal, mostly GCMs: entries drawn
+    in pairs with the same zero pattern, now and then one broken."""
+    n = draw(st.integers(1, 4))
+    rows = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw(gcm_entries)
+            y = 0 if x == 0 else draw(gcm_entries.filter(bool))
+            rows[i][j], rows[j][i] = x, y
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        rows[0][1] = draw(st.integers(-3, 3))
+    return rows
+
+
+data = st.one_of(
+    cartan_matrices().map(lambda m: json.dumps({"matrix": m})),
+    st.sampled_from(['{"matrix": [[2,-1],[-1,2]]}', '{"matrix": [[2,-2],[-2,2]]}',
+                     '{"matrix": [[2,-2,0],[-2,2,-1],[0,-1,2]]}',
+                     '{"matrix": [[2,-2,0],[-2,2,0],[0,0,2]]}',
+                     '{"matrix": [[2,-1],[-5,2]], "realization": {"rank": 3, "simple_roots": '
+                     '[[2,-5,0],[-1,2,1]], "simple_coroots": [[1,0,0],[0,1,0]]}}',
+                     '{"matrix": [[2,-1],[-1,2]], "realization": {"rank": 2}}',
+                     "{}", "[1]", "x", '{"matrix": []}']),
+)
+coordinates = st.one_of(small, small, st.integers(-BIG, BIG),
+                        st.builds("{}/{}".format, small, st.integers(-3, 6)),
+                        st.sampled_from(["x", "", "1.5", "1e9"]))
+vectors = st.lists(coordinates, min_size=1, max_size=5).map(lambda xs: ",".join(map(str, xs)))
+by_dest = {"field": fields, "p": points, "q": points, "a": elements, "g": matrices,
+           "data": data, "vector": vectors, "alpha": vectors, "beta": vectors}
+# values that argparse itself rejects
+not_integers = st.sampled_from(["x", "1.5", "", "1e3", "--"])
+not_choices = st.sampled_from(["bogus", "", "++", "0"])
+
+
+def _value(draw, action: argparse.Action):
+    if action.choices is not None:
+        wrong = draw(st.integers(0, 19)) == 0
+        return draw(not_choices if wrong else st.sampled_from(list(action.choices)))
+    if action.type is int:
+        return draw(not_integers if draw(st.integers(0, 19)) == 0 else sizes)
+    return draw(by_dest.get(action.dest, st.one_of(fields, points, elements, matrices)))
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    name = draw(st.sampled_from(["tree", "cone", "prenilpotent"]))
+    if name == "tree":
+        sub = draw(st.sampled_from(sorted(TREE)))
+        argv, parser = ["tree", sub], TREE[sub]
+    else:
+        argv, parser = [name], COMMANDS[name]
+    for action in parser._actions:
         if not action.option_strings or isinstance(action, argparse._HelpAction):
             continue
-        if not action.required and draw(st.booleans()):
+        # a required option is now and then left out
+        if draw(st.integers(0, 19)) == 0 if action.required else draw(st.booleans()):
             continue
         flag = action.option_strings[0]
         if action.nargs == 0:
             argv.append(flag)
         else:
-            argv.append(f"{flag}={draw(_value(action))}")
+            argv.append(f"{flag}={_value(draw, action)}")
     return argv
 
 
@@ -127,8 +173,8 @@ DEADLINE = 5
 
 @settings(max_examples=400, deadline=timedelta(seconds=DEADLINE),
           suppress_health_check=[HealthCheck.too_slow])
-@given(argv=tree_argv())
-def test_tree_cli_contract(argv):
+@given(argv=cli_argv())
+def test_cli_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _stop)
     signal.setitimer(signal.ITIMER_REAL, 2 * DEADLINE)

@@ -180,10 +180,6 @@ def oracle_refute(data, v, cap: int):
     return Unknown(cap)
 
 
-EIGENLINE = "v lies strictly inside an open cone between the eigenlines"
-MINUS_V_IN_CONE = "-v lies in the Tits cone and v != 0"
-
-
 def oracle_prenilpotent(data, alpha, beta) -> bool:
     geo = oracle_geometry(data)
     ca, cb = data.root_covector(alpha.root), data.root_covector(beta.root)
@@ -397,22 +393,51 @@ SIGNED_ROOTS = {ab: _signed_roots(data) for ab, data in RANK2.items()}
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
 
 
+def plain_greedy(data, v, cap):
+    """The greedy run with no certificate: InCone, or None after cap steps."""
+    cur, word = tuple(Fraction(x) for x in v), []
+    for step in range(cap + 1):
+        i = next((i for i in range(data.n) if data.pair(data.simple_roots[i], cur) < 0), None)
+        if i is None:
+            return InCone(weyl_element(data, tuple(word)), cur, step)
+        cur = simple_reflect(data, i, cur)
+        word.insert(0, i)
+    return None
+
+
+def recheck_ray(m, v_coords, cert):
+    """The ray certificate (c, step) against A = m and the chamber
+    coordinates p of v: c >= 0, A c <= 0, and c.p < 0 after step steps of
+    a greedy run on integer chamber coordinates."""
+    c, step = cert.witness
+    n = len(m)
+    assert cert.reason == RAY and min(c) >= 0 and max(c) > 0
+    assert all(sum(a * x for a, x in zip(row, c)) <= 0 for row in m)
+    scale = math.lcm(*(x.denominator for x in v_coords))
+    q = [int(x * scale) for x in v_coords]
+    for _ in range(step):
+        i = next(i for i in range(n) if q[i] < 0)
+        q = [q[j] - q[i] * m[i][j] for j in range(n)]
+    assert sum(x * y for x, y in zip(c, q)) < 0
+    return q
+
+
+RAY = "sum c_j alpha_j < 0 at a greedy iterate, for a ray c of {c >= 0, A c <= 0}"
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(HYPERBOLIC_AB), st.tuples(rationals, rationals))
 def test_refute_matches_oracle(ab, v):
-    # the form refutes, before any reflection, what the eigenline test and
-    # the -v greedy run refuted after the greedy run on v
+    # the rays refute what the eigenline test and the -v greedy run refuted
+    # after the greedy run on v, and leave its InCone answers as they were
     data = RANK2[ab]
     got = normalize_to_dominant(data, v, 30)
-    old = cone._greedy(data, v, 30) or oracle_refute(data, v, 30)
+    old = plain_greedy(data, v, 30) or oracle_refute(data, v, 30)
     if isinstance(old, InCone):
         assert got == old
-    elif isinstance(old, Unknown):
-        assert got == old or (isinstance(got, NotInCone) and got.reason == PAST_NAPPE
-                              and got.witness > 0)
-    else:
-        want = {EIGENLINE: SPACELIKE, MINUS_V_IN_CONE: PAST_NAPPE}[old.reason]
-        assert isinstance(got, NotInCone) and got.reason == want and got.witness > 0
+    elif isinstance(old, NotInCone) or got != old:
+        assert isinstance(got, NotInCone)
+        recheck_ray(data.matrix.entries, [data.pair(r, v) for r in data.simple_roots], got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -468,45 +493,60 @@ def test_rank2_verdicts_do_not_depend_on_the_realization(ab, m, v, draw):
 
 
 # ---------------------------------------------------------------------------
-# the Lorentzian form certificates of symmetrizable hyperbolic data
+# the ray certificates against the Lorentzian form of symmetrizable
+# hyperbolic data, and on every type
 
 POOL_HYPERBOLIC = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
 HYP = minimal_realization(validate(POOL_HYPERBOLIC))
-SPACELIKE = "v is spacelike: (v|v) > 0"
-PAST_NAPPE = "v lies in the past nappe: (v|rho^vee) > 0"
+NON_SYMMETRIZABLE = [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]
+RANK4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -2, 2]]
 RANK2_MATRICES = [[[2, -a], [-b, 2]] for a, b in HYPERBOLIC_AB]
 hyperbolic_matrices = st.one_of(st.just(POOL_HYPERBOLIC), st.sampled_from(SYMMETRIZABLE_HYPERBOLIC),
                                 st.sampled_from(RANK2_MATRICES))
 
 
-def _dominant_point(m, p):
-    """An integer x in Y of the minimal realization with alpha_j(x) =
-    |det A| p_j; the roots are the columns of the invertible A."""
-    det = _det(m)
-    adj = _adjugate([list(col) for col in zip(*m)])
-    return tuple(sum(adj[k][j] * p[j] for j in range(len(m))) * (1 if det > 0 else -1)
-                 for k in range(len(m)))
+def _dominant_point(data, p):
+    """An integer x in Y with alpha_j(x) = |d| p_j, where d is the first
+    nonzero n x n minor of the simple roots, on the columns S: x is 0 off S
+    and adj(R_S) p on S."""
+    n = data.n
+    for cols in itertools.combinations(range(data.rank), n):
+        sub = [[root[k] for k in cols] for root in data.simple_roots]
+        det = _det(sub)
+        if det:
+            break
+    adj = _adjugate(sub)
+    x = [0] * data.rank
+    for k, col in enumerate(cols):
+        x[col] = sum(adj[k][j] * p[j] for j in range(n)) * (1 if det > 0 else -1)
+    return tuple(x)
 
 
 def test_lightlike_face_point_in_cone():
-    x = _dominant_point(POOL_HYPERBOLIC, (0, 0, 1))
+    x = _dominant_point(HYP, (0, 0, 1))
     assert x == (-2, -2, 0)
     cert = normalize_to_dominant(HYP, x)
     assert isinstance(cert, InCone) and cert.steps == 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(hyperbolic_matrices, st.lists(st.integers(0, 3), min_size=4, max_size=4),
+cone_matrices = st.one_of(hyperbolic_matrices, st.sampled_from(AFFINE_GCMS),
+                          st.sampled_from([NON_SYMMETRIZABLE, RANK4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_matrices, st.lists(st.integers(0, 3), min_size=4, max_size=4),
        st.lists(st.integers(0, 11), max_size=8))  # i % n is uniform for n = 2, 3, 4
 @example([[2, -1], [-5, 2]], [0, 0, 0, 0], [])  # v = 0
 @example([[2, -3], [-3, 2]], [0, 0, 0, 0], [])
 @example([[2, -1], [-5, 2]], [1, 0, 0, 0], [0, 1, 0])  # faces of w.C
 @example([[2, -6], [-1, 2]], [0, 2, 0, 0], [1, 0])
 @example([[2, -2], [-3, 2]], [3, 0, 0, 0], [])
+@example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [0, 0, 0, 0], [0, 1])  # inessential
+@example(RANK4, [0, 0, 1, 0], [3, 2, 1, 0])
 def test_tits_cone_points_are_never_refuted(m, p, word):
     n = len(m)
     data = minimal_realization(validate(m))
-    v = _dominant_point(m, p[:n])
+    v = _dominant_point(data, p[:n])
     for i in reversed(word):
         v = simple_reflect(data, i % n, v)
     assert not isinstance(normalize_to_dominant(data, v), NotInCone)
@@ -529,54 +569,80 @@ def _sympy_form(m):
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 @settings(max_examples=120, deadline=None)
 @given(hyperbolic_matrices, st.data())
-def test_form_certificates_recheck(m, draw):
+def test_ray_certificates_cover_the_form(m, draw):
+    # the form confines the Tits cone to {p^T M p <= 0, p^T M 1 <= 0}; every
+    # vector it refutes is refuted by a ray within the default cap
     n = len(m)
     data = minimal_realization(validate(m))
     v = tuple(draw.draw(st.lists(rationals, min_size=n, max_size=n)))
     cert = normalize_to_dominant(data, v)
-    if not isinstance(cert, NotInCone):
-        return
     p = [data.pair(root, v) for root in data.simple_roots]
     form = _sympy_form(m)
     col = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in p])
-    other = col if cert.reason == SPACELIKE else sympy.ones(n, 1)
-    assert cert.reason in (SPACELIKE, PAST_NAPPE)
-    value = (col.T * form * other)[0, 0]
-    assert value > 0 and cert.witness == Fraction(int(value.p), int(value.q))
-    # a greedy run in chamber coordinates, at ten times the cap, never ends
-    scale = math.lcm(*(x.denominator for x in p))
-    q = [int(x * scale) for x in p]
+    if (col.T * form * col)[0, 0] > 0 or (col.T * form * sympy.ones(n, 1))[0, 0] > 0:
+        assert isinstance(cert, NotInCone)
+    if not isinstance(cert, NotInCone):
+        return
+    q = recheck_ray(m, p, cert)
+    # the greedy run, continued to ten times the cap, never ends
     for _ in range(10 * cone.default_cap(v)):
         i = next((i for i in range(n) if q[i] < 0), None)
         assert i is not None
         q = [q[j] - q[i] * m[i][j] for j in range(n)]
 
 
-def test_form_certificates_on_the_pool_datum():
-    assert normalize_to_dominant(HYP, (1, 0, 0)) == NotInCone(SPACELIKE, 2)
-    assert normalize_to_dominant(HYP, (1, 1, 1)) == NotInCone(PAST_NAPPE, 3)
+def test_ray_certificates_on_the_pool_datum():
+    assert normalize_to_dominant(HYP, (1, 0, 0)) == NotInCone(RAY, ((3, 4, 2), 0))
+    assert normalize_to_dominant(HYP, (1, 1, 1)) == NotInCone(RAY, ((1, 1, 0), 0))
+
+
+@pytest.mark.parametrize("rows, counts", [(NON_SYMMETRIZABLE, (5, 119)), (RANK4, (21, 603))],
+                         ids=["non-symmetrizable", "rank 4"])
+def test_rays_decide_the_grid(rows, counts):
+    # every nonzero v in [-2, 2]^rank: the greedy run decides InCone, and
+    # every other vector is refuted by a ray within 4 steps
+    data = minimal_realization(validate(rows))
+    got = collections.Counter()
+    for v in itertools.product(range(-2, 3), repeat=data.rank):
+        if any(v):
+            cert = normalize_to_dominant(data, v)
+            got[type(cert)] += 1
+            if isinstance(cert, InCone):
+                assert cert == plain_greedy(data, v, cone.default_cap(v))
+            else:
+                assert isinstance(cert, NotInCone) and cert.witness[1] <= 4
+                recheck_ray(rows, [data.pair(r, v) for r in data.simple_roots], cert)
+    assert (got[InCone], got[NotInCone]) == counts
+
+
+def test_decomposable_data():
+    # an affine block and an A1 block: delta = alpha_0 + alpha_1 is W-invariant
+    data = minimal_realization(validate([[2, -2, 0], [-2, 2, 0], [0, 0, 2]]))
+    assert normalize_to_dominant(data, (-1, 0, 0, 0)) == NotInCone(
+        "delta(v) = 0 but v is not inessential", ((1, 1, 0), 0))
+    assert normalize_to_dominant(data, (0, 0, -1, 0)) == InCone(weyl_element(data, (2,)),
+                                                                (0, 0, 1, 0), 1)
+    assert isinstance(normalize_to_dominant(data, (0, 0, 0, -1)), NotInCone)
 
 
 @pytest.mark.parametrize("rows", [POOL_HYPERBOLIC, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
                                   ((2, -2), (-2, 2)), ((2, -1), (-5, 2))],
                          ids=["hyperbolic", "affine_A2", "affine_sl2", "rank2_1_5"])
-def test_form_and_delta_computed_once_per_matrix(rows, monkeypatch):
+def test_rays_computed_once_per_matrix(rows, monkeypatch):
     rng = random.Random(6)
     data = minimal_realization(validate(rows))
     vectors = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(data.rank))
                for _ in range(40)]
-    # each answer on a fresh matrix, before the counters go in; only affine
-    # data reach the delta criterion, the others are decided before it
+    # each answer on a fresh matrix, before the counter goes in
     want = [normalize_to_dominant(minimal_realization(validate(rows)), v) for v in vectors]
-    affine = classify(validate(rows)) == KMClass.AFFINE
     calls = collections.Counter()
-    for name in ("_lorentzian_form", "_delta_coefficients"):
-        def counted(a, name=name, compute=getattr(kmdata, name)):
-            calls[name] += 1
-            return compute(a)
-        monkeypatch.setattr(kmdata, name, counted)
+
+    def counted(a, compute=kmdata._imaginary_rays):
+        calls["rays"] += 1
+        return compute(a)
+    monkeypatch.setattr(kmdata, "_imaginary_rays", counted)
     assert [normalize_to_dominant(data, v) for v in vectors] == want
-    assert (calls["_lorentzian_form"], calls["_delta_coefficients"]) == (1, int(affine))
+    assert calls["rays"] == 1
 
 
 elementary = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
@@ -709,6 +775,33 @@ def test_one_pass_search_matches_two_scans(key, i, j, bound):
             == _outcome(old_search_prenilpotent, data, alpha, beta, bound))
 
 
+def test_a2_witness_drops_a_left_descent_past_the_first_letter():
+    # r_0 r_1 r_0 sends both roots negative; the leading r_0 cannot go, r_1 can
+    alpha, beta = (find_real_root(A2, RootVector(v)) for v in ((0, 1), (1, 1)))
+    verdict = prenilpotent_pair(A2, alpha, beta)
+    assert (verdict.to_positive.word, verdict.to_negative.word) == ((), (0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(COXETER_POOL)), st.integers(0, 10**6), st.integers(0, 10**6))
+@example("A2", 1, 5)
+def test_no_left_descent_of_a_witness_keeps_its_signs(key, i, j):
+    data, roots = WITNESS_DATA[key], _roots_for_witnesses(key)
+    alpha, beta = roots[i % len(roots)], roots[j % len(roots)]
+    verdict = prenilpotent_pair(data, alpha, beta)
+    if not isinstance(verdict, Prenilpotent):
+        return
+    rows = data.matrix.entries
+    for w, keeps in ((verdict.to_positive, lambda v: min(v) >= 0),
+                     (verdict.to_negative, lambda v: max(v) <= 0)):
+        assert all(keeps(apply_word(rows, w.word, r.coeffs)) for r in (alpha.root, beta.root))
+        for k in range(data.n):
+            shorter = (k,) + w.word
+            if weyl_element(data, shorter).length() < w.length():
+                assert not all(keeps(apply_word(rows, shorter, r.coeffs))
+                               for r in (alpha.root, beta.root))
+
+
 # ---------------------------------------------------------------------------
 # affine data of every type: the pairing rule against the word search, and
 # the delta criterion against the greedy run
@@ -784,7 +877,6 @@ def indefinite_gcms(draw):
 
 
 G2_BLOCK = [[2, -1, 0], [-3, 2, -1], [0, -1, 2]]
-NON_SYMMETRIZABLE = [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -793,7 +885,7 @@ NON_SYMMETRIZABLE = [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]
 @example(G2_BLOCK, 4, 3)  # alpha_0, -alpha_1
 @example([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]], 4, 2)  # alpha_0, alpha_1: ab * ba = 4
 @example(NON_SYMMETRIZABLE, 0, 9)
-@example([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -2, 2]], 1, 12)
+@example(RANK4, 1, 12)
 def test_pairing_rule_and_witnesses_on_indefinite_data(rows, i, j):
     # signed real roots of height <= 4; the search runs to length 6
     data = minimal_realization(validate(rows))

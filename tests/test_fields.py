@@ -7,16 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masure import fields
 from masure.fields import (
     INF,
+    PRIME_LIMIT,
     DivisionByZero,
     FieldConfig,
+    FieldError,
     FieldElement,
     LaurentField,
     Mat2,
     NegativeValuation,
     ZeroMatrix,
     _poly_series_coeffs,
+    is_prime,
     matrix_valuation,
     parse_element,
     parse_field,
@@ -357,6 +361,43 @@ class TestParsing:
     def test_prime_mismatch(self):
         with pytest.raises(ValueError):
             parse_element(F2, "(1)/(1) mod 3")
+
+
+def _trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 2) if d < n)
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        # is_prime and, apart from it, the strong probable-prime test on every odd n > 41
+        for n in range(-3, 10 ** 5):
+            assert is_prime(n) == _trial_division(n), n
+            if n > 41 and n % 2:
+                assert fields._strong_probable_prime(n) == _trial_division(n), n
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                                   321197185, 5394826801, 232250619601, 9746347772161])
+    def test_carmichael_numbers(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # to every prime base up to 31
+        318665857834031151167461,  # to every prime base up to 37
+    ])
+    def test_strong_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    def test_near_10_to_18(self):
+        assert is_prime(10 ** 18 + 3) and not is_prime(10 ** 18 + 1)
+        assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
+
+    def test_limit(self):
+        assert not is_prime(PRIME_LIMIT - 1)  # even
+        with pytest.raises(FieldError, match="too large"):
+            is_prime(PRIME_LIMIT)
+        with pytest.raises(FieldError, match="too large"):
+            parse_field(f"Q{PRIME_LIMIT + 2}")
 
 
 def test_canonical_form_unique():

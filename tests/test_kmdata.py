@@ -21,7 +21,7 @@ from masure.kmdata import (
     decompose,
     delta_coefficients,
     finite_a2_data,
-    lorentzian_form,
+    imaginary_rays,
     minimal_realization,
     rank2_data,
     validate,
@@ -305,60 +305,53 @@ def test_delta_is_the_kernel_of_a():
     assert delta_coefficients(finite_a2_data()) is None
 
 
-def test_form_premise_is_symmetrizable_hyperbolic():
-    holds = [m for m in GCMS_3 if lorentzian_form(validate(m)) is not None]
-    assert holds == [m for m in HYPERBOLIC_3 if is_symmetrizable(m)]
-    assert len(holds) == 100
-
-
 def test_hyperbolic_4_sample():
     assert len(HYPERBOLIC_4) == 915
     assert sum(map(is_symmetrizable, HYPERBOLIC_4)) == 645
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(SYMMETRIZABLE_HYPERBOLIC), st.data())
-def test_form_is_reflection_invariant(m, draw):
-    n = len(m)
-    form = lorentzian_form(validate(m))
-    assert form is not None
-    p = draw.draw(st.lists(st.fractions(-20, 20, max_denominator=6), min_size=n, max_size=n))
+# ---------------------------------------------------------------------------
+# the extreme rays of {c >= 0, A c <= 0}
 
-    def value(q):
-        return sum(form[i][j] * q[i] * q[j] for i in range(n) for j in range(n))
-
-    for i in range(n):
-        reflected = [p[j] - p[i] * m[i][j] for j in range(n)]
-        assert value(reflected) == value(p)
-
-
-@pytest.mark.parametrize("m", [
-    [[2]],
-    [[2, -1], [-1, 2]],
-    [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
-    [[2, -2], [-2, 2]],
-    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
-    [[2, -4], [-1, 2]],
-    [[2, -2, 0, 0], [-2, 2, -1, 0], [0, -1, 2, 0], [0, 0, 0, 2]],
-    [[2, -3, 0, 0], [-3, 2, 0, 0], [0, 0, 2, -3], [0, 0, -3, 2]],
-    [[2, -2, -1], [-1, 2, -1], [-1, -1, 2]],
-], ids=["A1", "A2", "B3", "affine A1", "affine A2", "affine A2 twisted",
-        "hyperbolic + A1", "two hyperbolic blocks", "non-symmetrizable hyperbolic"])
-def test_no_form_off_symmetrizable_hyperbolic(m):
-    assert lorentzian_form(validate(m)) is None
+@pytest.mark.parametrize("rows, rays", [
+    ([[2, -1], [-1, 2]], ()),
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], ((1, 1, 1),)),
+    ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], ((1, 1, 0), (2, 2, 1), (3, 4, 2))),
+    ([[2, -1], [-5, 2]], ((1, 2), (2, 5))),
+    ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], ((1, 1, 1), (3, 4, 2), (3, 5, 4))),
+    ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -2, 2]],
+     ((0, 0, 1, 1), (0, 1, 2, 2), (0, 2, 4, 3), (1, 2, 3, 2), (1, 2, 3, 3))),
+    ([[2, -2, 0], [-2, 2, 0], [0, 0, 2]], ((1, 1, 0),)),
+    ([[2, -3, 0, 0], [-3, 2, 0, 0], [0, 0, 2, -1], [0, 0, -4, 2]],
+     ((0, 0, 1, 2), (2, 3, 0, 0), (3, 2, 0, 0))),
+], ids=["A2", "affine_A2", "pool hyperbolic", "rank2_1_5", "non-symmetrizable", "rank 4",
+        "affine + A1", "hyperbolic + twisted affine"])
+def test_ray_sets(rows, rays):
+    assert imaginary_rays(validate(rows)) == rays
 
 
-def test_form_of_the_pool_datum():
-    form = lorentzian_form(validate([[2, -2, 0], [-2, 2, -1], [0, -1, 2]]))
-    f = Fraction
-    assert form == ((f(-3, 2), -2, -1), (-2, -2, -1), (-1, -1, 0))
-
-
-def test_rank2_form_exists_exactly_when_ab_at_least_5():
-    # every 2x2 GCM [[2,-a],[-b,2]] with a, b <= 6; a = 0 iff b = 0
-    for a, b in itertools.product(range(7), repeat=2):
-        if (a == 0) != (b == 0):
-            continue
-        form = lorentzian_form(validate([[2, -a], [-b, 2]]))
-        assert (form is not None) == (a * b >= 5), (a, b)
-    assert lorentzian_form(validate([[2]])) is None
+def test_rays_are_extreme_and_span_the_interior():
+    # Kac, Thm 4.3: {c >= 0, A c <= 0} is 0 for finite A, the ray of delta
+    # for affine A, and holds some c > 0 with A c < 0 for indefinite A
+    for m in GCMS_3:
+        rays = imaginary_rays(validate(m))
+        for c in rays:
+            assert min(c) >= 0 and math.gcd(*c) == 1, m
+            ac = [sum(a * x for a, x in zip(row, c)) for row in m]
+            assert max(ac) <= 0, m
+            # extreme: c != 0 spans the kernel of the constraints tight at c,
+            # so two of them are independent
+            tight = [[int(i == j) for j in range(3)] for i in range(3) if c[i] == 0]
+            tight += [row for row, y in zip(m, ac) if y == 0]
+            assert any(r[i] * s[j] != r[j] * s[i] for r, s in itertools.combinations(tight, 2)
+                       for i, j in itertools.combinations(range(3), 2)), m
+        kind = kac_class(m)
+        if kind == "finite":
+            assert rays == (), m
+        elif kind == "affine":
+            assert len(rays) == 1 and all(sum(a * x for a, x in zip(row, rays[0])) == 0
+                                          for row in m), m
+        else:
+            total = [sum(col) for col in zip(*rays)]
+            assert min(total) > 0, m
+            assert max(sum(a * x for a, x in zip(row, total)) for row in m) < 0, m
