@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import acceptance, cone, hecke, kmdata, loop, tree, weyl
-from .fields import Mat2, ParseError, parse_element, parse_field
+from .fields import FieldError, Mat2, ParseError, parse_element, parse_field
 
 
 def _load_arg(text: str) -> str:
@@ -493,7 +493,7 @@ def _ring_arg(text: str) -> loop.SeriesRing:
     if text.startswith("F") and text[1:].isdigit():
         try:
             return loop.SeriesRing(loop.GF, int(text[1:]))
-        except loop.LoopError as exc:
+        except (loop.LoopError, FieldError) as exc:  # not prime, or too large to decide
             raise UsageError(f"--ring {text}: {exc}") from None
     raise UsageError(f"unknown coefficient ring {text!r}; use Q or F<p>")
 

@@ -95,7 +95,7 @@ def normalize_to_dominant(data: KacMoodyData, v, cap: int | None = None) -> Cert
 def _greedy(data: KacMoodyData, cur: tuple, cap: int) -> InCone | NotInCone | None:
     """The greedy run on cur; None when it is undecided after cap reflections."""
     a = data.matrix.entries
-    rays = [c for c in imaginary_rays(data.matrix) if any(_dot(row, c) for row in a)]
+    rays = imaginary_rays(data.matrix)[0]
     p, word = _chamber_coords(data, cur), []
     for step in range(cap + 1):
         ray = next((c for c in rays if _dot(c, p) < 0), None)
@@ -127,12 +127,12 @@ def _refute(data: KacMoodyData, v) -> NotInCone | None:
     speed-up that waits for a benchmark whose peak RSS does not grow with
     its query count."""
     p = _chamber_coords(data, v)
-    for c in imaginary_rays(data.matrix):
-        if not any(_dot(row, c) for row in data.matrix.entries):
-            if _dot(c, p) < 0:
-                return NotInCone(RAY_REASON, (c, 0))
-            if _dot(c, p) == 0 and any(x != 0 for x, y in zip(p, c) if y):
-                return NotInCone("delta(v) = 0 but v is not inessential", (c, 0))
+    for c in imaginary_rays(data.matrix)[1]:
+        phi = _dot(c, p)
+        if phi < 0:
+            return NotInCone(RAY_REASON, (c, 0))
+        if phi == 0 and any(x != 0 for x, y in zip(p, c) if y):
+            return NotInCone("delta(v) = 0 but v is not inessential", (c, 0))
     return None
 
 

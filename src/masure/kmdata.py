@@ -72,7 +72,7 @@ class KacMoodyMatrix:
         return _classify(self)
 
     @cached_property
-    def _rays(self) -> tuple[tuple[int, ...], ...]:
+    def _rays(self) -> tuple[tuple["Ray", ...], tuple["Ray", ...]]:
         return _imaginary_rays(self)
 
 
@@ -333,48 +333,70 @@ def delta_coefficients(data: KacMoodyData) -> tuple[int, ...] | None:
     so that delta = sum a_i alpha_i vanishes on every simple coroot.  None if
     not affine."""
     a = data.matrix
-    return imaginary_rays(a)[0] if classify(a) == KMClass.AFFINE else None
+    return imaginary_rays(a)[1][0] if classify(a) == KMClass.AFFINE else None
 
 
-# The largest indefinite block whose rays are enumerated, from C(2m, m - 1)
-# kernels: 792 at m = 6 take 0.45 s, 3003 at m = 7 2.4 s (off-diagonal -3,
-# 2-core x86-64 VM, Python 3.11.7).  A larger block gives no ray.
+Ray = tuple[int, ...]
+
+# The largest indefinite block whose rays are enumerated when A^-1 <= 0
+# fails, from C(2m, m - 1) kernels: 792 at m = 6 take 0.45 s, 3003 at m = 7
+# 2.4 s (off-diagonal -3, 2-core x86-64 VM, Python 3.11.7).  A larger such
+# block gives no ray.
 RAYS_MAX_BLOCK = 6
 
 
-def imaginary_rays(a: KacMoodyMatrix) -> tuple[tuple[int, ...], ...]:
+def imaginary_rays(a: KacMoodyMatrix) -> tuple[tuple[Ray, ...], tuple[Ray, ...]]:
     """The extreme rays of {c >= 0, A c <= 0}, the chamber side of the
-    imaginary cone (Kac, 5.3), as sorted primitive integer vectors: none on
-    a finite block, delta on an affine one, and on an indefinite block of
-    size m the kernels of m - 1 of its 2m constraints that meet all 2m."""
+    imaginary cone (Kac, 5.3), as sorted primitive integer vectors, split into
+    those with A c != 0 and the W-invariant ones with A c = 0.  By Kac, Thm
+    4.3, a finite block has none, an affine one only delta, with A c = 0, and
+    an indefinite one only rays with A c != 0."""
     return a._rays
 
 
-def _imaginary_rays(a: KacMoodyMatrix) -> tuple[tuple[int, ...], ...]:
-    rays = set()
+def _imaginary_rays(a: KacMoodyMatrix) -> tuple[tuple[Ray, ...], tuple[Ray, ...]]:
+    moving, invariant = set(), set()
     for comp in decompose(a):
-        block, m = a.submatrix(comp), len(comp)
-        # one row g per constraint g.c >= 0: c_i >= 0, and -(A c)_i >= 0
-        rows = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-        rows += [tuple(-x for x in row) for row in block.entries]
-        kind, tight_sets = classify(block), []
-        if kind == KMClass.AFFINE:  # the kernel of A, spanned by delta > 0
-            tight_sets = [block.entries]
-        elif kind == KMClass.INDEFINITE and m <= RAYS_MAX_BLOCK:
-            tight_sets = itertools.combinations(rows, m - 1)
-        for tight in tight_sets:
-            basis = kernel_basis(tight)
-            if len(basis) != 1:
-                continue
-            for c in (basis[0], tuple(-x for x in basis[0])):
-                if all(sum(g * x for g, x in zip(row, c)) >= 0 for row in rows):
-                    scale = math.lcm(*(x.denominator for x in c))
-                    ray = [0] * a.n
-                    for i, x in zip(comp, c):
-                        ray[i] = int(x * scale)
-                    g = math.gcd(*ray)
-                    rays.add(tuple(x // g for x in ray))
-    return tuple(sorted(rays))
+        block = a.submatrix(comp)
+        kind = classify(block)
+        if kind != KMClass.FINITE:
+            rays = invariant if kind == KMClass.AFFINE else moving
+            for c in _block_rays(block, kind):
+                scale = math.lcm(*(x.denominator for x in c))
+                ray = [0] * a.n
+                for i, x in zip(comp, c):
+                    ray[i] = int(x * scale)
+                g = math.gcd(*ray)
+                rays.add(tuple(x // g for x in ray))
+    return tuple(sorted(moving)), tuple(sorted(invariant))
+
+
+def _block_rays(block: KacMoodyMatrix, kind: KMClass) -> list[tuple[Fraction, ...]]:
+    """The extreme rays of an affine or indefinite block, unscaled.  When A
+    is invertible with A^-1 <= 0, as for symmetrizable hyperbolic A, {A c <=
+    0} = {-A^-1 y : y >= 0} lies in c >= 0, so its rays are the columns of
+    -A^-1: one inversion at any size.  Otherwise each ray is the kernel of
+    m - 1 of the 2m constraints that meets all 2m."""
+    m = block.n
+    inverse, pivots = rref([row + tuple(int(i == j) for j in range(m))
+                            for i, row in enumerate(block.entries)])
+    if pivots[:m] == list(range(m)) and all(x <= 0 for row in inverse for x in row[m:]):
+        return [tuple(-row[m + j] for row in inverse) for j in range(m)]
+    # one row g per constraint g.c >= 0: c_i >= 0, and -(A c)_i >= 0
+    rows = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    rows += [tuple(-x for x in row) for row in block.entries]
+    tight_sets = []
+    if kind == KMClass.AFFINE:  # the kernel of A, spanned by delta > 0
+        tight_sets = [block.entries]
+    elif m <= RAYS_MAX_BLOCK:
+        tight_sets = itertools.combinations(rows, m - 1)
+    rays = []
+    for tight in tight_sets:
+        basis = kernel_basis(tight)
+        if len(basis) == 1:
+            rays += [c for c in (basis[0], tuple(-x for x in basis[0]))
+                     if all(sum(g * x for g, x in zip(row, c)) >= 0 for row in rows)]
+    return rays
 
 
 # ---------------------------------------------------------------------------

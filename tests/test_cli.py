@@ -694,3 +694,11 @@ class TestPrimeField:
         code, out, err = run(capsys, "tree", "dist", "--field", f"F{PRIME_LIMIT}(t)",
                              "--p", "(0; 0)", "--q", "(1; 0)")
         assert code == 1 and out == "" and len(err.splitlines()) == 1 and "too large" in err
+
+    def test_series_ring_beyond_the_primality_limit(self, capsys):
+        # the coefficient ring is an option of uma, so it is a usage error there
+        for cmd in ("member", "factorize"):
+            code, out, err = run(capsys, "uma", cmd, "--matrix", "[[[1],[0]],[[0],[1]]]",
+                                 "--mod", "2", "--ring", f"F{PRIME_LIMIT}")
+            assert_usage_error(code, out, err)
+            assert "too large" in err

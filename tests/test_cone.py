@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_kmdata import AFFINE_GCMS, SYMMETRIZABLE_HYPERBOLIC, _det
+from test_kmdata import (
+    AFFINE_GCMS,
+    LARGE_HYPERBOLIC,
+    SYMMETRIZABLE_HYPERBOLIC,
+    _adjugate,
+    _det,
+)
 
 try:
     import sympy
@@ -42,6 +48,7 @@ from masure.kmdata import (
     classify,
     delta_coefficients,
     finite_a2_data,
+    imaginary_rays,
     minimal_realization,
     rank2_data,
     validate,
@@ -449,12 +456,6 @@ def test_prenilpotent_matches_oracle(ab, draw):
     assert isinstance(verdict, Prenilpotent) == oracle_prenilpotent(data, x, y)
 
 
-def _adjugate(m):
-    n = len(m)
-    return [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
-             for j in range(n)] for i in range(n)]
-
-
 def _rebased(data, m):
     """The same root datum in the basis of Y changed by the unimodular m:
     coroots become m.c and roots become r.m^-1."""
@@ -570,25 +571,53 @@ def _sympy_form(m):
 @settings(max_examples=120, deadline=None)
 @given(hyperbolic_matrices, st.data())
 def test_ray_certificates_cover_the_form(m, draw):
-    # the form confines the Tits cone to {p^T M p <= 0, p^T M 1 <= 0}; every
-    # vector it refutes is refuted by a ray within the default cap
+    n = len(m)
+    v = tuple(draw.draw(st.lists(rationals, min_size=n, max_size=n)))
+    q = _check_against_the_form(m, minimal_realization(validate(m)), v)
+    if q is None:
+        return
+    # the greedy run, continued to ten times the cap, never ends
+    for _ in range(10 * cone.default_cap(v)):
+        i = next((i for i in range(n) if q[i] < 0), None)
+        assert i is not None
+        q = [q[j] - q[i] * m[i][j] for j in range(n)]
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@pytest.mark.parametrize("m", LARGE_HYPERBOLIC.values(), ids=LARGE_HYPERBOLIC.keys())
+def test_ray_certificates_cover_the_form_at_large_rank(m):
+    # m is simply laced, so symmetric: in the minimal realization, whose
+    # coroots are the unit vectors, alpha(-c) = -A c >= 0 for every ray c
     n = len(m)
     data = minimal_realization(validate(m))
-    v = tuple(draw.draw(st.lists(rationals, min_size=n, max_size=n)))
+    rays, _ = imaginary_rays(data.matrix)
+    rng = random.Random(n)
+    for _ in range(40):
+        y = [rng.randint(0, 2) for _ in range(n)]
+        v = tuple(-sum(k * c[j] for k, c in zip(y, rays)) for j in range(n))
+        for i in rng.choices(range(n), k=rng.randint(0, 8)):
+            v = simple_reflect(data, i, v)
+        assert isinstance(normalize_to_dominant(data, v), InCone)
+        neg = tuple(-x for x in v)
+        if any(v):  # -v lies in the past nappe
+            assert isinstance(normalize_to_dominant(data, neg), NotInCone)
+        u = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(n))
+        for w in (neg, u):
+            _check_against_the_form(m, data, w)
+
+
+def _check_against_the_form(m, data, v):
+    """The form confines the Tits cone to {p^T M p <= 0, p^T M 1 <= 0}; a
+    vector it refutes is refuted by a ray within the default cap, and every
+    ray certificate rechecks: the chamber coordinates at its step, or None."""
+    n = len(m)
     cert = normalize_to_dominant(data, v)
     p = [data.pair(root, v) for root in data.simple_roots]
     form = _sympy_form(m)
     col = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in p])
     if (col.T * form * col)[0, 0] > 0 or (col.T * form * sympy.ones(n, 1))[0, 0] > 0:
         assert isinstance(cert, NotInCone)
-    if not isinstance(cert, NotInCone):
-        return
-    q = recheck_ray(m, p, cert)
-    # the greedy run, continued to ten times the cap, never ends
-    for _ in range(10 * cone.default_cap(v)):
-        i = next((i for i in range(n) if q[i] < 0), None)
-        assert i is not None
-        q = [q[j] - q[i] * m[i][j] for j in range(n)]
+    return recheck_ray(m, p, cert) if isinstance(cert, NotInCone) else None
 
 
 def test_ray_certificates_on_the_pool_datum():

@@ -190,6 +190,12 @@ def _det(m) -> int:
                for j in range(len(m)) if m[0][j])
 
 
+def _adjugate(m):
+    n = len(m)
+    return [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
 def _principal(m, idx):
     return [[m[i][j] for j in idx] for i in idx]
 
@@ -327,14 +333,92 @@ def test_hyperbolic_4_sample():
 ], ids=["A2", "affine_A2", "pool hyperbolic", "rank2_1_5", "non-symmetrizable", "rank 4",
         "affine + A1", "hyperbolic + twisted affine"])
 def test_ray_sets(rows, rays):
-    assert imaginary_rays(validate(rows)) == rays
+    moving, invariant = imaginary_rays(validate(rows))
+    assert tuple(sorted(moving + invariant)) == rays
+    # the W-invariant rays are those with A c = 0
+    assert invariant == tuple(c for c in rays if not any(_apply(rows, c)))
+
+
+def _apply(m, c) -> list:
+    return [sum(a * x for a, x in zip(row, c)) for row in m]
+
+
+def _enumerated_rays(m) -> tuple:
+    """Test-local: the primitive c >= 0 with A c <= 0 that span the kernel of
+    n - 1 of the 2n constraints c_i >= 0 and -(A c)_i >= 0, each kernel read
+    off the signed maximal minors."""
+    n = len(m)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)] + [[-x for x in r] for r in m]
+    rays = set()
+    for tight in itertools.combinations(rows, n - 1):
+        c = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in tight]) for j in range(n)]
+        for c in ([c, [-x for x in c]] if any(c) else []):
+            if min(_apply(rows, c)) >= 0:
+                rays.add(tuple(x // math.gcd(*c) for x in c))
+    return tuple(sorted(rays))
+
+
+def test_rays_match_the_enumeration():
+    # the rays of a block with A^-1 <= 0 are read off one inversion, the
+    # others enumerated; both agree with a test-local enumeration on every
+    # indecomposable 3 x 3 GCM and every hyperbolic 4 x 4 one
+    inverted = 0
+    for m in GCMS_3 + HYPERBOLIC_4:
+        moving, invariant = imaginary_rays(validate(m))
+        assert tuple(sorted(moving + invariant)) == _enumerated_rays(m), m
+        det = _det(m)
+        inverted += bool(det) and all(x * det <= 0 for row in _adjugate(m) for x in row)
+    assert inverted == 1199
+
+
+def _over_extended_a(k):
+    """A_k^(1) extended by a node joined to node 0: a cycle of k + 1 nodes
+    and one more, hyperbolic for k <= 7."""
+    edges = [(i, (i + 1) % (k + 1)) for i in range(k + 1)] + [(0, k + 1)]
+    return _simply_laced(k + 2, edges)
+
+
+def _simply_laced(n, edges):
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = -1
+    return m
+
+
+# symmetrizable hyperbolic data of rank 5 to 10, where the rays are read off
+# one inversion: E10 is the tree with arms of 1, 2 and 6 nodes at node 0
+LARGE_HYPERBOLIC = {
+    "A3++": _over_extended_a(3),
+    "A4++": _over_extended_a(4),
+    "D4++": _simply_laced(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)]),
+    "A7++": _over_extended_a(7),
+    "E10": _simply_laced(10, [(0, 1), (0, 2), (2, 3)] + [(i, i + 1) for i in range(4, 9)]
+                         + [(0, 4)]),
+}
+
+
+@pytest.mark.parametrize("rows", LARGE_HYPERBOLIC.values(), ids=LARGE_HYPERBOLIC.keys())
+def test_large_hyperbolic_rays_are_the_columns_of_minus_the_inverse(rows):
+    # c >= 0 with A c = -k e_i for each i: then -A^-1 >= 0, and {A c <= 0}
+    # is the simplicial cone on these n rays
+    n = len(rows)
+    moving, invariant = imaginary_rays(validate(rows))
+    assert invariant == () and len(moving) == n
+    hit = set()
+    for c in moving:
+        assert min(c) >= 0 and math.gcd(*c) == 1
+        (i,) = [i for i, y in enumerate(_apply(rows, c)) if y]
+        assert _apply(rows, c)[i] < 0
+        hit.add(i)
+    assert hit == set(range(n))
 
 
 def test_rays_are_extreme_and_span_the_interior():
     # Kac, Thm 4.3: {c >= 0, A c <= 0} is 0 for finite A, the ray of delta
     # for affine A, and holds some c > 0 with A c < 0 for indefinite A
     for m in GCMS_3:
-        rays = imaginary_rays(validate(m))
+        moving, invariant = imaginary_rays(validate(m))
+        rays = moving + invariant
         for c in rays:
             assert min(c) >= 0 and math.gcd(*c) == 1, m
             ac = [sum(a * x for a, x in zip(row, c)) for row in m]
