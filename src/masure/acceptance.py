@@ -225,8 +225,20 @@ def check_retraction_characterization(seed: int = DEFAULT_SEED) -> CheckResult:
         height = (tree.retract_minus(p) - tree.retract_plus(p)) / 2
         if dist_to_a != height:
             ok = False
-    return CheckResult(7, "retract+ = retract- iff on A; d(p, A) = ht(rho- - rho+)",
-                       ok, f"{n_on} apartment points, {n_off} hanging points")
+    # g = u n k with u in U^sign and k in the Iwahori subgroup: the retraction
+    # centered at sign*oo sends g.x to n.x for x in the fundamental alcove
+    for _ in range(50):
+        g = _random_group_element(rng, cfg, 4)
+        for sign in (1, -1):
+            u, n, k = tree.iwasawa(g, sign)
+            if u * n * k != g or not tree.in_iwahori(k) or any(
+                    tree.retract(tree.act(g, tree.make_point(cfg, x)), sign)
+                    != tree.monomial_action(n, x) for x in (Fraction(1, 2), Fraction(1, 4))):
+                ok = False
+    return CheckResult(7, "retract+ = retract- iff on A; d(p, A) = ht(rho- - rho+); "
+                          "rho(g.x) = n.x for g = unk", ok,
+                       f"{n_on} apartment points, {n_off} hanging points, "
+                       "50 g = unk per sign")
 
 
 def check_hecke_from_retractions(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -257,7 +269,8 @@ def check_hecke_from_retractions(seed: int = DEFAULT_SEED) -> CheckResult:
         path = hecke.path_from_tree(tp)
         report = hecke.verify_path(data, path, (tp.speed / 2,), chamber,
                                    height_bound=9, word_bound=6, max_reflections=3)
-        if not report.verified:
+        if not (report.verified and all(hecke.replay_chain(data, chamber, f.witness)
+                                        for f in report.folds)):
             ok = False
     return CheckResult(8, "50 random segment retractions are verified Hecke paths",
                        ok, f"{n_folds} folds seen, bounds (9, 6, 3)")

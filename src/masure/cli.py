@@ -169,9 +169,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# The largest roots --max-height.  The roots below a height multiply with the
+# rank: at 128 the rank-4 matrix with all off-diagonal entries -1 takes 0.7-0.9 s,
+# affine A3 0.02 s, but E10 44 s (1.3 s at 64; 2-core x86-64 VM, Python 3.11.7).
+ROOTS_MAX_HEIGHT = 128
+
+
 def _cmd_roots(args) -> int:
     if args.max_height < 1:
         raise UsageError(f"--max-height must be >= 1, got {args.max_height}")
+    if args.max_height > ROOTS_MAX_HEIGHT:
+        raise UsageError(f"--max-height must be at most {ROOTS_MAX_HEIGHT}, got {args.max_height}")
     data = _data_arg(args.data)
     rs = weyl.enumerate_real_roots(data, args.max_height)
     by_h = rs.by_height()
@@ -185,9 +193,18 @@ def _cmd_roots(args) -> int:
     return 0
 
 
+# The most letters of a weyl --word; the inversion set costs O(l^2 n^2) at
+# rank n.  128 letters take 0.6-0.7 s on E10 and 0.2-0.3 s on affine A3 and
+# [[2,-3],[-3,2]], but 2.4 s at rank 20 (2-core x86-64 VM, Python 3.11.7).
+WEYL_MAX_WORD = 128
+
+
 def _cmd_weyl(args) -> int:
     data = _data_arg(args.data)
-    w = weyl.weyl_element(data, _word_arg(args.word))
+    word = _word_arg(args.word)
+    if len(word) > WEYL_MAX_WORD:
+        raise UsageError(f"--word has {len(word)} letters, more than {WEYL_MAX_WORD}")
+    w = weyl.weyl_element(data, word)
     inv = weyl.inversion_set(data, w)
     obj = {
         "length": w.length(),
@@ -510,11 +527,19 @@ def _uma_matrix_arg(text: str, ring: loop.SeriesRing) -> list[list]:
     return [[coeff(c, "--matrix") for c in cell] for row in rows for cell in row]
 
 
+# The largest uma --mod; each series stores all its coefficients.  Dense
+# input over Q costs most: L D U of random factors with denominators <= 9
+# takes 1.2-1.3 s at 512, 12.5 s at 1024 (2-core x86-64 VM, Python 3.11.7).
+UMA_MAX_MOD = 512
+
+
 def _cmd_uma(args) -> int:
     ring = _ring_arg(args.ring)
     n = args.mod
     if n < 1:
         raise UsageError(f"--mod must be >= 1, got {n}")
+    if n > UMA_MAX_MOD:
+        raise UsageError(f"--mod must be at most {UMA_MAX_MOD}, got {n}")
     m = loop.SeriesMatrix(*(loop.series(ring, cell, n)
                             for cell in _uma_matrix_arg(args.matrix, ring)))
     if args.uma_cmd == "member":

@@ -1,5 +1,5 @@
-"""Tits cone membership with certificates, vectorial faces, sphericity,
-prenilpotent pairs and closed root intervals.
+"""Tits cone membership with certificates, prenilpotent pairs and closed
+root intervals.
 
 Membership certificates are exact.  Greedy normalization handles every
 vector of the cone.  Outside it, one certificate serves every type: a ray
@@ -15,15 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kmdata import (
-    KacMoodyData,
-    KMClass,
-    RootVector,
-    classify,
-    decompose,
-    imaginary_rays,
-    simple_root_vector,
-)
+from .kmdata import KacMoodyData, RootVector, imaginary_rays, simple_root_vector
 from .weyl import (
     RealRoot,
     WeylElement,
@@ -37,10 +29,6 @@ from .weyl import (
 
 
 class ConeError(ValueError):
-    pass
-
-
-class NotInTitsCone(ConeError):
     pass
 
 
@@ -146,28 +134,6 @@ class FaceDescriptor:
     w: WeylElement
     subset: tuple[int, ...]
     sign: int  # +1 or -1
-
-
-def face_of(data: KacMoodyData, v, cap: int | None = None) -> FaceDescriptor:
-    for u, sign in ((v, +1), (tuple(-Fraction(x) for x in v), -1)):
-        cert = normalize_to_dominant(data, u, cap)
-        if isinstance(cert, InCone):
-            j = tuple(i for i, x in enumerate(_chamber_coords(data, cert.image)) if x == 0)
-            return FaceDescriptor(cert.w.inverse(), j, sign)
-    raise NotInTitsCone(f"no face certificate for {v}")
-
-
-def is_spherical(data: KacMoodyData, subset) -> bool:
-    """True iff every indecomposable block of the principal submatrix A_J is
-    of finite type, i.e. the fixator <r_j : j in J> is finite."""
-    idx = tuple(sorted(set(int(j) for j in subset)))
-    if not idx:
-        return True
-    sub = data.matrix.submatrix(idx)
-    for comp in decompose(sub):
-        if classify(sub.submatrix(comp)) != KMClass.FINITE:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

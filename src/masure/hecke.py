@@ -32,10 +32,6 @@ class HeckeError(ValueError):
     pass
 
 
-class PreconditionUnmet(HeckeError):
-    pass
-
-
 Vec = tuple[Fraction, ...]
 
 
@@ -229,7 +225,7 @@ def verify_fold(data: KacMoodyData, anchor, xi_minus, xi_plus,
 
 
 # ---------------------------------------------------------------------------
-# dominance and height bound
+# dominance
 
 def _in_coroot_cone(data: KacMoodyData, v: Vec) -> bool:
     return positive_combination(data.simple_coroots, v) is not None
@@ -258,45 +254,6 @@ def check_dominance(data: KacMoodyData, path: PiecewisePath, chamber_sign: int) 
         if all(x == 0 for x in diff):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class HeightBoundReport:
-    mu_in_cone: bool
-    mu_height: Fraction | None
-    t_star: Fraction | None
-    bound: Fraction | None
-    holds: bool
-
-
-def check_height_bound(data: KacMoodyData, path: PiecewisePath, d, nu, mu
-                       ) -> HeightBoundReport:
-    """For a path of shape d*nu (w.r.t. the opposite chamber) from a to
-    a + d*nu - mu: mu is a nonnegative coroot combination, and when
-    d > ht(mu) the final straight run starts no later than ht(mu)/d.
-    """
-    d = Fraction(d)
-    nu_v, mu_v = _vec(nu), _vec(mu)
-    disp = path.displacement()
-    expected = tuple(d * x - y for x, y in zip(nu_v, mu_v, strict=True))
-    if disp != expected:
-        raise PreconditionUnmet("displacement is not d*nu - mu")
-    comb = positive_combination(data.simple_coroots, mu_v)
-    if comb is None:
-        return HeightBoundReport(False, None, None, None, False)
-    ht_mu = sum(comb, start=Fraction(0))
-    if d <= ht_mu:
-        return HeightBoundReport(True, ht_mu, None, None, True)
-    target = tuple(d * x for x in nu_v)
-    vels = path.velocities()
-    k = len(vels)
-    while k > 0 and vels[k - 1] == target:
-        k -= 1
-    if k == len(vels):
-        # no final run with the full shape velocity: bound statement is empty
-        return HeightBoundReport(True, ht_mu, None, ht_mu / d, False)
-    t_star = path.breakpoints[k]
-    return HeightBoundReport(True, ht_mu, t_star, ht_mu / d, t_star <= ht_mu / d)
 
 
 # ---------------------------------------------------------------------------

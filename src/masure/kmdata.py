@@ -10,7 +10,6 @@ pairing).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -328,14 +327,6 @@ def rank2_data(a: int, b: int) -> KacMoodyData:
     return minimal_realization(validate([[2, -a], [-b, 2]]))
 
 
-def delta_coefficients(data: KacMoodyData) -> tuple[int, ...] | None:
-    """For affine data: the primitive positive integer vector a with A a = 0,
-    so that delta = sum a_i alpha_i vanishes on every simple coroot.  None if
-    not affine."""
-    a = data.matrix
-    return imaginary_rays(a)[1][0] if classify(a) == KMClass.AFFINE else None
-
-
 Ray = tuple[int, ...]
 
 # The largest indefinite block whose rays are enumerated when A^-1 <= 0
@@ -398,17 +389,3 @@ def _block_rays(block: KacMoodyMatrix, kind: KMClass) -> list[tuple[Fraction, ..
                      if all(sum(g * x for g, x in zip(row, c)) >= 0 for row in rows)]
     return rays
 
-
-# ---------------------------------------------------------------------------
-# JSON schema:  {"matrix": [[...]], "realization": {"rank": r,
-#                "simple_roots": [...], "simple_coroots": [...]}}
-
-def data_to_json(data: KacMoodyData) -> str:
-    return json.dumps({
-        "matrix": [list(row) for row in data.matrix.entries],
-        "realization": {
-            "rank": data.rank,
-            "simple_roots": [list(r) for r in data.simple_roots],
-            "simple_coroots": [list(r) for r in data.simple_coroots],
-        },
-    })

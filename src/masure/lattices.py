@@ -76,10 +76,6 @@ def lattice_distance(l1: Lattice, l2: Lattice) -> int:
     return abs(v1 - v2)
 
 
-def same_class(l1: Lattice, l2: Lattice) -> bool:
-    return lattice_distance(l1, l2) == 0
-
-
 def column_normal_form(lat: Lattice) -> Mat2:
     """Canonical basis of the lattice class.
 

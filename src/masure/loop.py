@@ -405,7 +405,7 @@ def one_minus_rtn(ring: SeriesRing, r, n: int, modulus: int) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# imaginary exponentials and Lemma-style product parameters
+# 2x2 series matrices and Lemma-style product parameters
 
 @dataclass(frozen=True)
 class SeriesMatrix:
@@ -441,20 +441,6 @@ class SeriesMatrix:
 
     def __str__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
-
-
-def matrix_identity(ring: SeriesRing, modulus: int) -> SeriesMatrix:
-    one, zero = series_one(ring, modulus), series_zero(ring, modulus)
-    return SeriesMatrix(one, zero, zero, one)
-
-
-def exp_imaginary(ring: SeriesRing, r, s: int, modulus: int) -> SeriesMatrix:
-    """diag(1/(1 - r t^s), 1 - r t^s) truncated at the modulus."""
-    if s < 1:
-        raise LoopError("imaginary direction index must be >= 1")
-    low = one_minus_rtn(ring, r, s, modulus)
-    return SeriesMatrix(low.inverse(), series_zero(ring, modulus),
-                        series_zero(ring, modulus), low)
 
 
 def _times_one_minus(ring: SeriesRing, nums: list, den: int, r, k: int) -> int:

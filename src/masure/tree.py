@@ -358,48 +358,7 @@ def orbit_class(v: TreePoint) -> int:
 
 
 # ---------------------------------------------------------------------------
-# apartments, ends, exchange
-
-@dataclass(frozen=True)
-class End:
-    """End of the tree as a normalized projective class [u : v]."""
-
-    u: FieldElement
-    v: FieldElement
-
-    @staticmethod
-    def of(u: FieldElement, v: FieldElement) -> "End":
-        if v.is_zero():
-            if u.is_zero():
-                raise TreeError("zero vector is not an end")
-            return End(u.config.one(), u.config.zero())
-        return End(u / v, v.config.one())
-
-    def __str__(self) -> str:
-        return f"[{self.u} : {self.v}]"
-
-
-def end_plus(cfg: FieldConfig) -> End:
-    return End(cfg.one(), cfg.zero())
-
-
-def end_minus(cfg: FieldConfig) -> End:
-    return End(cfg.zero(), cfg.one())
-
-
-def act_end(g: Mat2, e: End) -> End:
-    return End.of(g.a * e.u + g.b * e.v, g.c * e.u + g.d * e.v)
-
-
-def apartment_from_ends(e1: End, e2: End) -> Mat2:
-    """g in SL2 with g.(+oo end) = e1 and g.(-oo end) = e2; the apartment
-    g.A is the line joining the two ends."""
-    if e1 == e2:
-        raise TreeError("coincident ends span no apartment")
-    det = e1.u * e2.v - e2.u * e1.v
-    inv = det.inverse()
-    return Mat2(e1.u * inv, e2.u, e1.v * inv, e2.v)
-
+# exchange
 
 def exchange_apartment(a: FieldElement) -> Mat2:
     """Exchange construction at the half-apartment pair of B = x_minus(a).A.

@@ -15,7 +15,10 @@ from masure.cli import (
     GM_MAX_N,
     HECKE_MAX_BOUNDS,
     PRENILPOTENT_MAX_HEIGHT,
+    ROOTS_MAX_HEIGHT,
     TREE_MAX_EXPONENT,
+    UMA_MAX_MOD,
+    WEYL_MAX_WORD,
     _ball_size,
     main,
 )
@@ -674,6 +677,43 @@ class TestSearchBudgets:
         code, out, _ = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
                            "--path", TestHeckeCommand.PATH, "--shape", "2", "--bounds", bounds)
         assert code == 0 and json.loads(out)["verified"] is True
+
+
+class TestSizeBudgets:
+    """A root height, a word length and a series modulus are taken up to
+    their limits; one more is a one-line usage error."""
+
+    AFFINE = '{"matrix": [[2,-2],[-2,2]]}'
+
+    def test_roots_height(self, capsys):
+        code, out, _ = run(capsys, "roots", "--data", self.AFFINE,
+                           "--max-height", str(ROOTS_MAX_HEIGHT), "--json")
+        # two roots at each odd height
+        assert code == 0 and sum(map(len, json.loads(out)["by_height"].values())) == 128
+        for height in (ROOTS_MAX_HEIGHT + 1, 10 ** 9):
+            code, out, err = run(capsys, "roots", "--data", self.AFFINE,
+                                 "--max-height", str(height))
+            assert_usage_error(code, out, err)
+            assert str(ROOTS_MAX_HEIGHT) in err
+
+    def test_weyl_word(self, capsys):
+        word = ",".join("01"[k % 2] for k in range(WEYL_MAX_WORD))
+        code, out, _ = run(capsys, "weyl", "--data", self.AFFINE, "--word", word, "--json")
+        assert code == 0 and json.loads(out)["length"] == WEYL_MAX_WORD
+        code, out, err = run(capsys, "weyl", "--data", self.AFFINE, "--word", word + ",0")
+        assert_usage_error(code, out, err)
+        assert str(WEYL_MAX_WORD) in err
+
+    def test_uma_modulus(self, capsys):
+        identity = "[[[1],[0]],[[0],[1]]]"
+        code, out, _ = run(capsys, "uma", "member", "--matrix", identity,
+                           "--mod", str(UMA_MAX_MOD), "--ring", "Q")
+        assert code == 0 and json.loads(out) == {"member": True}
+        for mod in (UMA_MAX_MOD + 1, 10 ** 9):
+            code, out, err = run(capsys, "uma", "factorize", "--matrix", identity,
+                                 "--mod", str(mod))
+            assert_usage_error(code, out, err)
+            assert str(UMA_MAX_MOD) in err
 
 
 class TestPrimeField:

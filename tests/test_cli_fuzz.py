@@ -1,15 +1,18 @@
-"""The CLI contract under random input, for tree, cone and prenilpotent:
-every call exits 0, 1 or 2, prints no traceback, prints exactly one line on
-stderr when it fails, and finishes within the deadline (a call still
-running at twice the deadline is stopped and fails the example).
+"""The CLI contract under random input, for every command but hecke and
+selftest: every call exits 0, 1 or 2, prints no traceback, prints exactly
+one line on stderr when it fails, and finishes within the deadline (a call
+still running at twice the deadline is stopped and fails the example).
 
 Subcommands and options are read from ``build_parser()``, so a new
 subcommand or option of these commands is drawn without editing this test.
 Values are drawn by what an option takes (a field, a point, an element, a
-matrix, a root datum, a vector, an integer or one of its choices), valid
-and invalid, with exponents, positions and coordinates up to 10^9.  Some
-argv are ones argparse itself rejects: a required option left out, a value
-outside the choices, or an integer option given a non-integer.
+matrix, a root datum, a vector, a word, a coefficient ring, an integer or
+one of its choices), valid and invalid, with exponents, positions,
+coordinates, heights, indices and moduli up to 10^9 and words around the
+longest one weyl takes.  Some argv are ones argparse itself rejects: a
+required option left out, a value outside the choices, or an integer option
+given a non-integer.  hecke is left out, since a fold search at its largest
+bounds takes seconds, and so is selftest, which runs the acceptance suite.
 """
 
 import argparse
@@ -22,7 +25,7 @@ from datetime import timedelta
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from masure.cli import build_parser, main
+from masure.cli import WEYL_MAX_WORD, build_parser, main
 
 
 def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -33,7 +36,11 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentP
 
 
 COMMANDS = _subparsers(build_parser())
-TREE = _subparsers(COMMANDS["tree"])
+FUZZED = sorted(set(COMMANDS) - {"hecke", "selftest"})
+NESTED = {name: _subparsers(COMMANDS[name]) for name in FUZZED}
+# the commands that take fields, points, elements and vectors, whose values
+# vary most, draw 8 examples in 13: about 400, 130 each
+VARIED = ("cone", "prenilpotent", "tree")
 
 BIG = 10 ** 9
 small = st.integers(-12, 12)
@@ -107,6 +114,44 @@ def cartan_matrices(draw) -> list[list[int]]:
     return rows
 
 
+gcm_json = cartan_matrices().map(json.dumps)
+
+
+def _csv(xs) -> str:
+    return ",".join(map(str, xs))
+
+
+def _unipotent(b: list[int], c: list[int]) -> str:
+    """[[1, b], [tc, 1 + tcb]], the product of a lower and an upper
+    unitriangular matrix: determinant 1 at every modulus."""
+    c = [0] + c
+    d = [1] + [0] * (len(b) + len(c))
+    for i, x in enumerate(c):
+        for j, y in enumerate(b):
+            d[i + j] += x * y
+    return json.dumps([[[1], b], [c, d]])
+
+
+int_lists = st.lists(small, max_size=6)
+coefficient_lists = st.lists(st.one_of(small, st.builds("{}/{}".format, small, st.integers(-3, 6)),
+                                       st.sampled_from(["x", 1.5, None])), max_size=6)
+series_matrices = st.one_of(
+    st.builds(_unipotent, int_lists, int_lists),
+    st.lists(coefficient_lists, min_size=4, max_size=4).map(
+        lambda cells: json.dumps([cells[:2], cells[2:]])),
+    st.sampled_from(['[[[1],[0]],[[0],[1]]]', '[[[0],[1]],[[-1],[0]]]', "[[1,2],[3,4]]", "[]",
+                     "x"]),
+)
+rings = st.one_of(st.sampled_from(["F2", "F3", "F5", "F101", "Q", "q"]),
+                  st.sampled_from(["F4", "F1", "F0", "F", "Z", "", "F2(t)"]),
+                  st.builds("F{}".format, st.integers(0, BIG)))
+words = st.one_of(
+    st.lists(st.integers(0, 3), max_size=12).map(_csv),
+    st.lists(st.integers(0, 3), min_size=WEYL_MAX_WORD - 3, max_size=WEYL_MAX_WORD + 3).map(_csv),
+    st.lists(st.one_of(small, st.integers(-BIG, BIG), st.sampled_from(["a", "", "1.5"])),
+             max_size=5).map(_csv),
+    st.sampled_from(["e", "-", " "]),
+)
 data = st.one_of(
     cartan_matrices().map(lambda m: json.dumps({"matrix": m})),
     st.sampled_from(['{"matrix": [[2,-1],[-1,2]]}', '{"matrix": [[2,-2],[-2,2]]}',
@@ -120,29 +165,35 @@ data = st.one_of(
 coordinates = st.one_of(small, small, st.integers(-BIG, BIG),
                         st.builds("{}/{}".format, small, st.integers(-3, 6)),
                         st.sampled_from(["x", "", "1.5", "1e9"]))
-vectors = st.lists(coordinates, min_size=1, max_size=5).map(lambda xs: ",".join(map(str, xs)))
+vectors = st.lists(coordinates, min_size=1, max_size=5).map(_csv)
 by_dest = {"field": fields, "p": points, "q": points, "a": elements, "g": matrices,
-           "data": data, "vector": vectors, "alpha": vectors, "beta": vectors}
+           "data": data, "vector": vectors, "alpha": vectors, "beta": vectors,
+           "word": words, "ring": rings,
+           ("classify", "matrix"): st.one_of(gcm_json, gcm_json, st.sampled_from(
+               ["[]", "[[2]]", "[[2,-1],[-1]]", "[[2,-1.5],[-1,2]]", "5", "x"])),
+           ("uma", "matrix"): series_matrices}
 # values that argparse itself rejects
 not_integers = st.sampled_from(["x", "1.5", "", "1e3", "--"])
 not_choices = st.sampled_from(["bogus", "", "++", "0"])
 
 
-def _value(draw, action: argparse.Action):
+def _value(draw, action: argparse.Action, name: str):
     if action.choices is not None:
         wrong = draw(st.integers(0, 19)) == 0
         return draw(not_choices if wrong else st.sampled_from(list(action.choices)))
     if action.type is int:
         return draw(not_integers if draw(st.integers(0, 19)) == 0 else sizes)
-    return draw(by_dest.get(action.dest, st.one_of(fields, points, elements, matrices)))
+    anything = st.one_of(fields, points, elements, matrices)
+    return draw(by_dest.get((name, action.dest), by_dest.get(action.dest, anything)))
 
 
 @st.composite
 def cli_argv(draw) -> list[str]:
-    name = draw(st.sampled_from(["tree", "cone", "prenilpotent"]))
-    if name == "tree":
-        sub = draw(st.sampled_from(sorted(TREE)))
-        argv, parser = ["tree", sub], TREE[sub]
+    varied = draw(st.integers(1, 13)) <= 8
+    name = draw(st.sampled_from([n for n in FUZZED if (n in VARIED) == varied]))
+    if NESTED[name]:
+        sub = draw(st.sampled_from(sorted(NESTED[name])))
+        argv, parser = [name, sub], NESTED[name][sub]
     else:
         argv, parser = [name], COMMANDS[name]
     for action in parser._actions:
@@ -155,7 +206,7 @@ def cli_argv(draw) -> list[str]:
         if action.nargs == 0:
             argv.append(flag)
         else:
-            argv.append(f"{flag}={_value(draw, action)}")
+            argv.append(f"{flag}={_value(draw, action, name)}")
     return argv
 
 
@@ -171,7 +222,7 @@ def _stop(signum, frame):
 DEADLINE = 5
 
 
-@settings(max_examples=400, deadline=timedelta(seconds=DEADLINE),
+@settings(max_examples=650, deadline=timedelta(seconds=DEADLINE),
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=cli_argv())
 def test_cli_contract(argv):

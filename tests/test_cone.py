@@ -1,4 +1,4 @@
-"""Tits cone certificates, faces, sphericity, prenilpotency, intervals."""
+"""Tits cone certificates, prenilpotency, intervals."""
 
 import collections
 import itertools
@@ -25,28 +25,21 @@ except ImportError:  # pragma: no cover - sympy is a test-only extra
 
 from masure import cone, kmdata
 from masure.cone import (
-    FaceDescriptor,
     InCone,
     NotInCone,
-    NotInTitsCone,
     NotPrenilpotent,
     PairNotPrenilpotent,
     Prenilpotent,
     Unknown,
     UnknownWithinBound,
     closed_interval,
-    face_of,
-    is_spherical,
     normalize_to_dominant,
     prenilpotent_pair,
     search_prenilpotent,
 )
 from masure.kmdata import (
-    KMClass,
     RootVector,
     affine_sl2_data,
-    classify,
-    delta_coefficients,
     finite_a2_data,
     imaginary_rays,
     minimal_realization,
@@ -195,7 +188,7 @@ def oracle_prenilpotent(data, alpha, beta) -> bool:
 
 
 def _delta_value(data, v):
-    delta = delta_coefficients(data)
+    delta = imaginary_rays(data.matrix)[1][0]
     return sum(Fraction(delta[i]) * data.pair(data.simple_roots[i], v)
                for i in range(data.n))
 
@@ -272,43 +265,6 @@ class TestNormalize:
             if v == (0, 0):
                 continue
             assert geo.strictly_in_gamma(v) == geo.strictly_in_gamma(tuple(-x for x in v))
-
-
-class TestFaces:
-    def test_dominant_interior(self):
-        f = face_of(A2, (1, 1))
-        assert f.subset == () and f.sign == 1 and f.w.is_identity()
-
-    def test_zero_full_subset(self):
-        f = face_of(AFF, (0, 0, 0))
-        assert set(f.subset) == {0, 1}
-
-    def test_inessential_full_subset(self):
-        f = face_of(AFF, (0, 1, 0))  # central direction: all alpha_i vanish
-        assert set(f.subset) == {0, 1}
-
-    def test_negative_side(self):
-        f = face_of(A2, (-1, -1))
-        assert f.sign in (-1, 1)  # finite type: cone is everything
-
-    def test_not_in_cone(self):
-        with pytest.raises(NotInTitsCone):
-            face_of(R15, (1, 0))
-
-
-class TestSphericity:
-    def test_empty(self):
-        assert is_spherical(AFF, ())
-
-    def test_affine_full_not(self):
-        assert not is_spherical(AFF, (0, 1))
-
-    def test_single_node(self):
-        assert is_spherical(AFF, (1,))
-        assert is_spherical(R15, (0,))
-
-    def test_finite_full(self):
-        assert is_spherical(A2, (0, 1))
 
 
 class TestPrenilpotency:

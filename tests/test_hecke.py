@@ -9,10 +9,8 @@ from masure.hecke import (
     ChainWitness,
     HeckeError,
     PiecewisePath,
-    PreconditionUnmet,
     RefutedWithinBound,
     check_dominance,
-    check_height_bound,
     is_billiard,
     path_from_tree,
     positively_free_coroots,
@@ -176,58 +174,10 @@ class TestDominance:
         assert positively_free_coroots(AFF)
         assert positively_free_coroots(A2)
 
-
-class TestHeightBound:
-    def test_straight_zero_mu(self):
-        rep = check_height_bound(A1, straight((Fraction(0),), (Fraction(2),)),
-                                 2, (1,), (0,))
-        assert rep.holds and rep.mu_height == 0
-
-    def test_tree_instance(self):
-        # path 7/2 -> 3 -> 9/2 has shape 2*nu, mu = coroot, t* = 1/4 <= 1/2
-        path = tree_fold_path()
-        rep = check_height_bound(A1, path, 2, (1,), (1,))
-        assert rep.holds
-        assert rep.mu_height == 1
-        assert rep.t_star == Fraction(1, 4)
-        assert rep.bound == Fraction(1, 2)
-
-    def test_mu_outside_cone(self):
-        path = straight((Fraction(0),), (Fraction(3),))
-        rep = check_height_bound(A1, path, 2, (1,), (-1,))
-        assert not rep.holds and not rep.mu_in_cone
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionUnmet):
-            check_height_bound(A1, tree_fold_path(), 5, (1,), (0,))
-
-    def test_shape_dimension_mismatch(self):
-        # nu and mu of different lengths: an error, not a truncated comparison
-        with pytest.raises(ValueError):
-            check_height_bound(A1, straight((Fraction(0),), (Fraction(2),)), 2, (1, 7), (0,))
-
     def test_coroot_cone_dimension_mismatch(self):
         # rank-1 velocities against the rank-2 coroots of A2
         with pytest.raises(ValueError):
             check_dominance(A2, straight((Fraction(0),), (Fraction(2),)), -1)
-
-    def test_synthetic_affine(self):
-        # one fold through the finite wall: shape d*nu with nu = coroot-like
-        from masure.weyl import reflect_vector, simple_real_root
-
-        nu = (Fraction(1), Fraction(0), Fraction(1))
-        d = Fraction(3)
-        beta = simple_real_root(AFF, 1).negate()
-        dnu = tuple(d * x for x in nu)
-        bent = tuple(reflect_vector(AFF, beta, dnu))
-        t0 = Fraction(1, 3)
-        start = (Fraction(0),) * 3
-        mid = tuple(t0 * v for v in bent)
-        end = tuple(m + (1 - t0) * v for m, v in zip(mid, dnu))
-        path = PiecewisePath((Fraction(0), t0, Fraction(1)), (start, mid, end))
-        mu = tuple(d * x - (e - s) for x, e, s in zip(nu, end, start))
-        rep = check_height_bound(AFF, path, d, nu, mu)
-        assert rep.mu_in_cone and rep.holds
 
 
 class TestVerifyPath:

@@ -16,14 +16,11 @@ from masure.loop import (
     NotInUmaPlus,
     SeriesMatrix,
     SeriesRing,
-    TruncSeries,
     _times_one_minus,
     check_binomial_specialization,
     check_convolution,
-    exp_imaginary,
     gm_from_generating_function,
     gm_poly,
-    matrix_identity,
     one_minus_rtn,
     poly_add,
     poly_const,
@@ -156,33 +153,6 @@ class TestTruncSeries:
         assert str(series_zero(RQ, 3)) == "0 (mod t^3)"
 
 
-class TestExpImaginary:
-    def test_zero_is_identity(self):
-        m = exp_imaginary(R2, 0, 1, 5)
-        ident = matrix_identity(R2, 5)
-        assert (m.a, m.b, m.c, m.d) == (ident.a, ident.b, ident.c, ident.d)
-
-    def test_char2_geometric(self):
-        m = exp_imaginary(R2, 1, 1, 4)
-        # oracle: 1/(1-t) mod t^4 = 1 + t + t^2 + t^3 over F_2
-        assert m.a.coeffs == (1, 1, 1, 1)
-        assert m.d.coeffs == (1, 1, 0, 0)
-
-    def test_group_like_product(self):
-        a = exp_imaginary(RQ, Fraction(2), 1, 6)
-        b = exp_imaginary(RQ, Fraction(-1, 2), 1, 6)
-        prod = a * b
-        # stays in the imaginary subgroup: diagonal, entries 1 mod t
-        assert prod.b == series_zero(RQ, 6) and prod.c == series_zero(RQ, 6)
-        assert prod.a.congruent_one_mod_t() and prod.d.congruent_one_mod_t()
-        assert prod.d == one_minus_rtn(RQ, Fraction(2), 1, 6) * \
-            one_minus_rtn(RQ, Fraction(-1, 2), 1, 6)
-
-    def test_bad_direction(self):
-        with pytest.raises(LoopError):
-            exp_imaginary(R2, 1, 0, 4)
-
-
 class TestProductParams:
     def test_one(self):
         assert series_to_product_params(series_one(R2, 5)) == (0, 0, 0, 0)
@@ -224,14 +194,17 @@ class TestProductParams:
 
 class TestUma:
     def test_identity_member(self):
-        m = matrix_identity(R2, 6)
+        one, zero = series_one(R2, 6), series_zero(R2, 6)
+        m = SeriesMatrix(one, zero, zero, one)
         assert uma_membership(m)
         low, diag, up = uma_factorize(m)
-        ident = matrix_identity(R2, 6)
-        assert (low.c, diag.a, up.b) == (ident.b, ident.a, ident.b)
+        assert (low.c, diag.a, up.b) == (zero, one, zero)
 
     def test_exp_imaginary_factors_trivially(self):
-        m = exp_imaginary(RQ, Fraction(3), 2, 8)
+        # diag(1/(1 - 3t^2), 1 - 3t^2)
+        low_part = one_minus_rtn(RQ, Fraction(3), 2, 8)
+        zero = series_zero(RQ, 8)
+        m = SeriesMatrix(low_part.inverse(), zero, zero, low_part)
         low, diag, up = uma_factorize(m)
         assert low.c == series_zero(RQ, 8)
         assert up.b == series_zero(RQ, 8)
@@ -504,7 +477,8 @@ def test_exp_imaginary_is_the_inverse(data):
     n = data.draw(st.integers(1, 24))
     s = data.draw(st.integers(1, 26))
     r = data.draw(st.just(0) | _coefficient(ring))
-    m = exp_imaginary(ring, r, s, n)
-    low = one_minus_rtn(ring, r, s, n)
-    assert m.a == low.inverse() and m.d == low
-    assert _reduced(ring, m.a.coeffs)
+    inv = one_minus_rtn(ring, r, s, n).inverse()
+    # 1/(1 - r t^s) = sum_k r^k t^(ks)
+    assert inv == series(ring, [ring.coerce(r) ** (k // s) if k % s == 0 else 0
+                                for k in range(n)], n)
+    assert _reduced(ring, inv.coeffs)

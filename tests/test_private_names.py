@@ -1,5 +1,6 @@
-"""Every private name defined at module or class level in the package is used
-somewhere in the package; a private name that nothing reads is dead code."""
+"""Every private name defined at module or class level in the package, and
+every public function or class defined at module level, is read somewhere
+in the package; a name that nothing reads is dead code."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,15 @@ from pathlib import Path
 import masure
 
 PACKAGE = Path(masure.__file__).parent
+
+# public names that only the test suite reads, with the reason each stays
+TEST_REFERENCES = {
+    "point_on_segment": "the reference for the breakpoints of tree.retract_segment",
+    "one_minus_rtn": "builds the factors 1 - r t^k that check the product parameters",
+    # benchmarks/test_benchmark.py expects lattices.tail_reduce, the alias
+    # that only this function reads
+    "column_normal_form": "the only reader of lattices.tail_reduce, which the benchmark wraps",
+}
 
 
 def _is_private(name: str) -> bool:
@@ -27,14 +37,20 @@ def _defined(body):
 
 
 def _definitions_and_uses():
-    defined, used = {}, set()
+    """The private names, the public module-level functions and classes,
+    each with its module, and every name the package reads."""
+    private, public, used = {}, {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scopes = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
         for body in scopes:
             for name in _defined(body):
                 if _is_private(name):
-                    defined.setdefault(name, path.name)
+                    private.setdefault(name, path.name)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                public.setdefault(node.name, path.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
@@ -42,11 +58,18 @@ def _definitions_and_uses():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    return defined, used
+    return private, public, used
 
 
 def test_every_private_name_is_used():
-    defined, used = _definitions_and_uses()
-    assert defined, "no private names found: the package path is wrong"
-    dead = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    private, _, used = _definitions_and_uses()
+    assert private, "no private names found: the package path is wrong"
+    dead = sorted(f"{module}:{name}" for name, module in private.items() if name not in used)
     assert dead == []
+
+
+def test_every_public_name_has_a_caller():
+    _, public, used = _definitions_and_uses()
+    assert {"act", "TreePoint", "main"} <= set(public)
+    unread = sorted(f"{module}:{name}" for name, module in public.items() if name not in used)
+    assert unread == sorted(f"{public[name]}:{name}" for name in TEST_REFERENCES)

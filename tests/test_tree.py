@@ -1,6 +1,5 @@
 """Tree of SL2: action, metric, retractions, vertices, apartments."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -20,15 +19,10 @@ from masure.fields import (
 )
 from masure.tree import (
     DegenerateSegment,
-    End,
     NotAVertex,
     act,
-    act_end,
-    apartment_from_ends,
     ball,
     distance,
-    end_minus,
-    end_plus,
     exchange_apartment,
     fixed_interval,
     fixes_point,
@@ -406,24 +400,6 @@ class TestExchange:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             exchange_apartment(F2.zero())
-
-
-class TestEnds:
-    def test_normalization(self):
-        e = End.of(t(F2, 2), t(F2, 1))
-        assert e.v == F2.one() and e.u == t(F2, 1)
-
-    def test_apartment_from_ends(self):
-        e1 = act_end(x_minus(t(F2, 1)), end_plus(F2))
-        e2 = end_minus(F2)
-        g = apartment_from_ends(e1, e2)
-        assert g.det() == F2.one()
-        assert act_end(g, end_plus(F2)) == e1
-        assert act_end(g, end_minus(F2)) == e2
-
-    def test_coincident_rejected(self):
-        with pytest.raises(ValueError):
-            apartment_from_ends(end_plus(F2), end_plus(F2))
 
 
 class TestRetractSegment:
