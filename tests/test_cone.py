@@ -267,6 +267,52 @@ class TestNormalize:
             assert geo.strictly_in_gamma(v) == geo.strictly_in_gamma(tuple(-x for x in v))
 
 
+class TestDominantImage:
+    """The face of v is read off its dominant image: the simple roots that
+    vanish there, and the Weyl element that carries v to it."""
+
+    def test_dominant_interior(self):
+        cert = normalize_to_dominant(A2, (1, 1))
+        assert isinstance(cert, InCone)
+        assert cert.w.is_identity() and cert.steps == 0 and cert.image == (1, 1)
+        assert all(A2.pair(r, cert.image) > 0 for r in A2.simple_roots)
+
+    def test_zero_is_fixed(self):
+        cert = normalize_to_dominant(AFF, (0, 0, 0))
+        assert isinstance(cert, InCone) and cert.w.is_identity()
+        assert all(AFF.pair(r, cert.image) == 0 for r in AFF.simple_roots)
+
+    def test_inessential_direction_in_both_cones(self):
+        # the central direction: every simple root vanishes, on both sides
+        for v in ((0, 1, 0), (0, -1, 0)):
+            cert = normalize_to_dominant(AFF, v)
+            assert isinstance(cert, InCone) and cert.w.is_identity()
+            assert all(AFF.pair(r, v) == 0 for r in AFF.simple_roots)
+
+    def test_negative_side_of_finite_type(self):
+        # finite type: -C_f lies in the Tits cone, and the longest element
+        # (length 3 in A2) carries it back to C_f
+        cert = normalize_to_dominant(A2, (-1, -1))
+        assert isinstance(cert, InCone)
+        assert cert.w.length() == 3 and cert.steps == 3
+        assert cert.image == (1, 1) and cert.w.act_y((-1, -1)) == cert.image
+
+    def test_refutation_ray_is_a_certificate(self):
+        # the witness ray c >= 0 has A c <= 0, A c != 0, and c.p < 0 at the
+        # greedy iterate it names
+        cert = normalize_to_dominant(R15, (1, 0))
+        assert isinstance(cert, NotInCone)
+        c, step = cert.witness
+        a = R15.matrix.entries
+        ac = [sum(a[i][j] * c[j] for j in range(2)) for i in range(2)]
+        assert all(x >= 0 for x in c) and all(x <= 0 for x in ac) and any(ac)
+        v = (Fraction(1), Fraction(0))
+        for _ in range(step):
+            i = next(i for i, r in enumerate(R15.simple_roots) if R15.pair(r, v) < 0)
+            v = tuple(simple_reflect(R15, i, v))
+        assert sum(x * R15.pair(r, v) for x, r in zip(c, R15.simple_roots)) < 0
+
+
 class TestPrenilpotency:
     def test_finite_opposite(self):
         a = simple_real_root(A2, 0)

@@ -174,6 +174,12 @@ class TestDominance:
         assert positively_free_coroots(AFF)
         assert positively_free_coroots(A2)
 
+    def test_segments_dominate_on_both_sides(self):
+        # a segment has no fold: its one velocity is its displacement
+        for data, v in ((A1, (Fraction(-2),)), (AFF, (Fraction(1), Fraction(0), Fraction(3)))):
+            path = straight((Fraction(0),) * data.rank, v)
+            assert check_dominance(data, path, +1) and check_dominance(data, path, -1)
+
     def test_coroot_cone_dimension_mismatch(self):
         # rank-1 velocities against the rank-2 coroots of A2
         with pytest.raises(ValueError):
@@ -181,6 +187,50 @@ class TestDominance:
 
 
 class TestVerifyPath:
+    def test_straight_segment_has_no_fold(self):
+        rep = verify_path(A1, straight((Fraction(0),), (Fraction(2),)), (2,),
+                          standard_chamber(A1, +1))
+        assert rep.verified and rep.folds == ()
+
+    def test_tree_fold_lowers_the_shape_by_a_coroot(self):
+        # 7/2 -> 3 -> 9/2: shape 2, displacement 2 - alpha^vee, one fold on
+        # the wall x = 3 at time 1/4 <= 1/2
+        path = tree_fold_path()
+        assert path.fold_times() == [1]
+        assert path.breakpoints[1] == Fraction(1, 4) and path.positions[1] == (3,)
+        assert (2 - path.displacement()[0],) == tuple(A1.simple_coroots[0])
+        rep = verify_path(A1, path, (2,), standard_chamber(A1, -1))
+        assert [f.time for f in rep.folds] == [Fraction(1, 4)]
+
+    def test_shape_dimension_mismatch(self):
+        # a rank-2 shape against rank-1 data: an error, not a truncated comparison
+        with pytest.raises(ValueError):
+            verify_path(A1, straight((Fraction(0),), (Fraction(2),)), (2, 7),
+                        standard_chamber(A1, +1))
+
+    def test_synthetic_affine_fold(self):
+        # one fold through the wall of alpha_1 at time 1/3: the bent piece is
+        # r_beta(3 nu) with beta = -alpha_1, the rest is 3 nu
+        from masure.weyl import reflect_vector, simple_real_root
+
+        dnu = (Fraction(3), Fraction(0), Fraction(3))
+        beta = simple_real_root(AFF, 1).negate()
+        bent = tuple(reflect_vector(AFF, beta, dnu))
+        t0 = Fraction(1, 3)
+        start = (Fraction(0),) * 3
+        mid = tuple(t0 * v for v in bent)
+        end = tuple(m + (1 - t0) * v for m, v in zip(mid, dnu))
+        path = PiecewisePath((Fraction(0), t0, Fraction(1)), (start, mid, end))
+        minus = verify_path(AFF, path, dnu, standard_chamber(AFF, -1))
+        assert minus.verified
+        (fold,) = minus.folds
+        assert fold.time == t0 and fold.position == mid
+        assert replay_chain(AFF, standard_chamber(AFF, -1), fold.witness)
+        # the same fold bends the wrong way for the fundamental chamber
+        plus = verify_path(AFF, path, dnu, standard_chamber(AFF, +1))
+        assert plus.billiard.ok and not plus.dominance and not plus.verified
+        assert isinstance(plus.folds[0].witness, RefutedWithinBound)
+
     def test_tree_generated(self):
         path = tree_fold_path()
         rep = verify_path(A1, path, (2,), standard_chamber(A1, -1), 9, 6, 3)

@@ -153,6 +153,41 @@ class TestTruncSeries:
         assert str(series_zero(RQ, 3)) == "0 (mod t^3)"
 
 
+class TestImaginaryDiagonal:
+    """diag(1/(1 - r t^s), 1 - r t^s), built from one_minus_rtn."""
+
+    @staticmethod
+    def diagonal(ring, r, s, n):
+        low = one_minus_rtn(ring, r, s, n)
+        zero = series_zero(ring, n)
+        return SeriesMatrix(low.inverse(), zero, zero, low)
+
+    def test_zero_is_identity(self):
+        m = self.diagonal(R2, 0, 1, 5)
+        one, zero = series_one(R2, 5), series_zero(R2, 5)
+        assert (m.a, m.b, m.c, m.d) == (one, zero, zero, one)
+
+    def test_char2_geometric(self):
+        m = self.diagonal(R2, 1, 1, 4)
+        # oracle: 1/(1-t) mod t^4 = 1 + t + t^2 + t^3 over F_2
+        assert m.a.coeffs == (1, 1, 1, 1)
+        assert m.d.coeffs == (1, 1, 0, 0)
+
+    def test_group_like_product(self):
+        prod = self.diagonal(RQ, Fraction(2), 1, 6) * self.diagonal(RQ, Fraction(-1, 2), 1, 6)
+        # stays in the imaginary subgroup: diagonal, entries 1 mod t
+        assert prod.b == series_zero(RQ, 6) and prod.c == series_zero(RQ, 6)
+        assert prod.a.congruent_one_mod_t() and prod.d.congruent_one_mod_t()
+        assert prod.d == one_minus_rtn(RQ, Fraction(2), 1, 6) * \
+            one_minus_rtn(RQ, Fraction(-1, 2), 1, 6)
+        assert uma_membership(prod)
+
+    def test_exponent_beyond_the_modulus(self):
+        # t^s vanishes mod t^n once s >= n
+        assert one_minus_rtn(R2, 1, 4, 4) == series_one(R2, 4)
+        assert one_minus_rtn(RQ, Fraction(5), 9, 4) == series_one(RQ, 4)
+
+
 class TestProductParams:
     def test_one(self):
         assert series_to_product_params(series_one(R2, 5)) == (0, 0, 0, 0)

@@ -320,6 +320,34 @@ class TestIwasawa:
                     assert got == monomial_action(n, eps)
 
 
+    def test_diagonal_is_its_own_monomial_part(self):
+        g = t_diag(t(F2, 3))
+        for sign in (+1, -1):
+            u, n, k = iwasawa(g, sign)
+            assert n.entries() == g.entries()
+            assert u.entries() == mat_identity(F2).entries()
+            assert k.entries() == mat_identity(F2).entries()
+
+    def test_antidiagonal_negative_sign(self):
+        g = s_tilde(F2)
+        u, n, k = iwasawa(g, -1)
+        assert (u * n * k).entries() == g.entries()
+        assert u.b.is_zero() and in_iwahori(k)
+        assert n.a.is_zero() and n.d.is_zero()
+
+    @pytest.mark.parametrize("cfg", [Q2, Q3], ids=["Q2", "Q3"])
+    def test_padic_decompositions(self, cfg):
+        rng = random.Random(23)
+        for sign in (+1, -1):
+            for _ in range(20):
+                g = random_g(rng, cfg)
+                u, n, k = iwasawa(g, sign)
+                assert (u * n * k).entries() == g.entries()
+                assert in_iwahori(k)
+                for eps in (Fraction(1, 2), Fraction(1, 4)):
+                    assert retract(act(g, make_point(cfg, eps)), sign) == monomial_action(n, eps)
+
+
 class TestNeighbors:
     def test_valency(self):
         assert len(neighbors(origin(F2))) == 3
