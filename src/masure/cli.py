@@ -193,9 +193,11 @@ def _cmd_roots(args) -> int:
     return 0
 
 
-# The most letters of a weyl --word; the inversion set costs O(l^2 n^2) at
-# rank n.  128 letters take 0.6-0.7 s on E10 and 0.2-0.3 s on affine A3 and
-# [[2,-3],[-3,2]], but 2.4 s at rank 20 (2-core x86-64 VM, Python 3.11.7).
+# The most letters of a weyl --word; the element and its inversion set take
+# one column update per letter, O(l n^2) at rank n.  128 letters take
+# 0.01-0.02 s on E10, affine A3 and [[2,-3],[-3,2]], 0.12 s on a rank-20
+# cycle with a chord and 0.4 s at rank 40, the minimal realization included
+# (in process, 2-core x86-64 VM, Python 3.11.7).
 WEYL_MAX_WORD = 128
 
 
@@ -250,11 +252,12 @@ def _cmd_cone(args) -> int:
 
 
 # The largest sum of |coordinates| of a root that prenilpotent takes.  The
-# witnesses and the interval's inversion set grow with the reflection word,
-# about twice the height on affine data: with the simple root of the last
-# index, roots of height 297-299 take 0.6 s on [[2,-2],[-2,2]], 0.7 s on
-# [[2,-1],[-4,2]], 1.0 s on affine A2 and 1.3 s on affine A3 (2-core
-# x86-64 VM, Python 3.11.7).
+# witnesses grow with the reflection word, about twice the height on affine
+# data, and shortening one reduces the word again for each letter it drops
+# inside the word: with the simple root of the last index, the slowest roots
+# of height 297-299 take 0.03 s on [[2,-2],[-2,2]], 0.04 s on
+# [[2,-1],[-4,2]], 1.0 s on affine A2 and 2.2 s on affine A3 (in process,
+# 2-core x86-64 VM, Python 3.11.7).
 PRENILPOTENT_MAX_HEIGHT = 300
 
 

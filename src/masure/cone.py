@@ -19,9 +19,9 @@ from .kmdata import KacMoodyData, RootVector, imaginary_rays, simple_root_vector
 from .weyl import (
     RealRoot,
     WeylElement,
+    _right_q,
     all_elements_up_to_length,
     inversion_set,
-    length_and_reduce,
     reflection,
     simple_reflect,
     weyl_element,
@@ -125,18 +125,6 @@ def _refute(data: KacMoodyData, v) -> NotInCone | None:
 
 
 # ---------------------------------------------------------------------------
-# faces
-
-@dataclass(frozen=True)
-class FaceDescriptor:
-    """The face sign * w.F(J) with F(J) = {alpha_j = 0 on J, alpha_i > 0 off J}."""
-
-    w: WeylElement
-    subset: tuple[int, ...]
-    sign: int  # +1 or -1
-
-
-# ---------------------------------------------------------------------------
 # prenilpotent pairs
 
 @dataclass(frozen=True)
@@ -215,18 +203,21 @@ def prenilpotent_pair(data: KacMoodyData, alpha: RealRoot, beta: RealRoot,
 
 def _shortened(data: KacMoodyData, word, images, sign) -> WeylElement:
     """w = word, reduced, less left descents r_i whose removal keeps each
-    w(gamma) in sign: the leading letter first, then the others by index."""
-    _, word = length_and_reduce(data, word)
+    w(gamma) in sign: the leading letter first, then the others by index.
+    r_i is a left descent iff w^-1(alpha_i), column i of the action of
+    w^-1 on roots, is negative."""
+    word = weyl_element(data, word).word
+    inv_q = weyl_element(data, tuple(reversed(word))).q_mat
     while True:
         for i in word[:1] + tuple(range(data.n)):
+            if not all(row[i] <= 0 for row in inv_q):
+                continue
             alpha_i = simple_root_vector(data.n, i)
             moved = [v - alpha_i.scale(_dot(data.matrix.entries[i], v.coeffs)) for v in images]
             if all(sign(v) for v in moved):
-                length, shorter = ((len(word) - 1, word[1:]) if word[:1] == (i,)
-                                   else length_and_reduce(data, (i,) + word))
-                if length < len(word):
-                    word, images = shorter, moved
-                    break
+                word = word[1:] if word[:1] == (i,) else weyl_element(data, (i,) + word).word
+                images, inv_q = moved, _right_q(data, inv_q, i)
+                break
         else:
             return weyl_element(data, word)
 

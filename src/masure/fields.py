@@ -41,10 +41,6 @@ class DivisionByZero(FieldError):
     pass
 
 
-class NegativeValuation(FieldError):
-    pass
-
-
 class ZeroMatrix(FieldError):
     pass
 
@@ -183,12 +179,6 @@ class FieldConfig:
 
     def one(self) -> "FieldElement":
         return self.uniformizer_pow(0)
-
-    def from_int(self, n: int) -> "FieldElement":
-        return FieldElement(self, (self._embed(n), self._one))
-
-    def from_fraction(self, q: Fraction) -> "FieldElement":
-        return FieldElement(self, (self._embed(q.numerator), self._embed(q.denominator)))
 
     def uniformizer_pow(self, k: int) -> "FieldElement":
         """t^k resp. p^k; any integer k."""
@@ -395,12 +385,6 @@ class FieldElement:
     def valuation(self) -> int | float:
         """Exact t-adic / p-adic order; INF iff the element is zero."""
         return self.v
-
-    def residue(self) -> int:
-        """Image in O/m = F_p; requires valuation >= 0."""
-        if self.v < 0:
-            raise NegativeValuation(f"valuation {self.v} < 0 has no residue")
-        return Tail(self, 1).digits().get(0, 0)
 
     # -- formatting ----------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import FaceDescriptor, InCone, normalize_to_dominant
+from .cone import InCone, normalize_to_dominant
 from .kmdata import KacMoodyData, finite_a1_data
 from .linalg import combination_system, fm_feasible, positive_combination
 from .weyl import (
@@ -23,7 +23,6 @@ from .weyl import (
     WeylElement,
     all_elements_up_to_length,
     enumerate_real_roots,
-    identity_element,
     reflect_vector,
 )
 
@@ -145,8 +144,7 @@ class RefutedWithinBound:
     max_reflections: int
 
 
-def replay_chain(data: KacMoodyData, chamber: FaceDescriptor,
-                 witness: ChainWitness) -> bool:
+def replay_chain(data: KacMoodyData, chamber: int, witness: ChainWitness) -> bool:
     """Re-evaluate every clause of the chain conditions."""
     xs = witness.velocities
     if len(xs) != len(witness.roots) + 1:
@@ -159,21 +157,17 @@ def replay_chain(data: KacMoodyData, chamber: FaceDescriptor,
             return False
         if data.eval_root(beta.root, witness.anchor).denominator != 1:
             return False
-        if not _negative_on_chamber(data, beta, chamber):
+        if not _negative_on_chamber(beta, chamber):
             return False
     return True
 
 
-def _negative_on_chamber(data: KacMoodyData, beta: RealRoot,
-                         chamber: FaceDescriptor) -> bool:
-    """beta < 0 on sign * w.C_f  iff  sign * w^{-1}.beta is a negative root."""
-    pulled = chamber.w.inverse().act_root(beta.root)
-    if chamber.sign > 0:
-        return pulled.is_negative()
-    return pulled.is_positive()
+def _negative_on_chamber(beta: RealRoot, chamber: int) -> bool:
+    """beta < 0 on chamber * C_f  iff  chamber * beta is a negative root."""
+    return beta.root.is_negative() if chamber > 0 else beta.root.is_positive()
 
 
-def admissible_roots(data: KacMoodyData, chamber: FaceDescriptor, anchor,
+def admissible_roots(data: KacMoodyData, chamber: int, anchor,
                      height_bound: int) -> list[RealRoot]:
     """Real roots of |height| <= bound, negative on the chamber, with an
     integral value on the anchor; deterministic (height, coords) order."""
@@ -181,7 +175,7 @@ def admissible_roots(data: KacMoodyData, chamber: FaceDescriptor, anchor,
     out = []
     for pos in enumerate_real_roots(data, height_bound).roots:
         for beta in (pos, pos.negate()):
-            if not _negative_on_chamber(data, beta, chamber):
+            if not _negative_on_chamber(beta, chamber):
                 continue
             if data.eval_root(beta.root, a).denominator != 1:
                 continue
@@ -191,7 +185,7 @@ def admissible_roots(data: KacMoodyData, chamber: FaceDescriptor, anchor,
 
 
 def verify_fold(data: KacMoodyData, anchor, xi_minus, xi_plus,
-                chamber: FaceDescriptor, height_bound: int = 9,
+                chamber: int, height_bound: int = 9,
                 max_reflections: int = 3) -> ChainWitness | RefutedWithinBound:
     """Breadth-first search for a chain carrying xi_minus to xi_plus.
 
@@ -279,7 +273,7 @@ class HeckeReport:
 
 
 def verify_path(data: KacMoodyData, path: PiecewisePath, shape,
-                chamber: FaceDescriptor, height_bound: int = 9,
+                chamber: int, height_bound: int = 9,
                 word_bound: int = 6, max_reflections: int = 3) -> HeckeReport:
     """Full verification: billiard property, a chain per fold, dominance."""
     bil = is_billiard(data, path, shape, word_bound)
@@ -288,9 +282,11 @@ def verify_path(data: KacMoodyData, path: PiecewisePath, shape,
         w = verify_fold(data, path.positions[k], path.velocity(k - 1),
                         path.velocity(k), chamber, height_bound, max_reflections)
         folds.append(FoldVerdict(path.breakpoints[k], path.positions[k], w))
-    dom = check_dominance(data, path, chamber.sign)
+    dom = check_dominance(data, path, chamber)
     return HeckeReport(bil, tuple(folds), dom)
 
 
-def standard_chamber(data: KacMoodyData, sign: int) -> FaceDescriptor:
-    return FaceDescriptor(identity_element(data), (), 1 if sign > 0 else -1)
+def standard_chamber(data: KacMoodyData, sign: int) -> int:
+    """The chamber sign * C_f, as the sign +1 or -1 that the fold and
+    dominance checks take; the same for every datum."""
+    return 1 if sign > 0 else -1

@@ -67,9 +67,6 @@ class WeylElement:
     def length(self) -> int:
         return len(self.word)
 
-    def is_identity(self) -> bool:
-        return self.y_mat == _identity(self.data.rank)
-
     def act_root(self, v: RootVector) -> RootVector:
         return RootVector(_mat_vec(self.q_mat, v.coeffs))
 
@@ -89,13 +86,20 @@ class WeylElement:
         return "e" if not self.word else ".".join(f"r{i}" for i in self.word)
 
 
+def _element(data: KacMoodyData, q: IntMat, y: IntMat) -> WeylElement:
+    """The element with matrices q and y.  Its word is the normal form, read
+    off q by the descent criterion, l(w r_i) < l(w) iff w.alpha_i is a
+    negative root: peel the smallest right descent until none is left."""
+    rev: list[int] = []
+    p = q
+    while (i := _first_descent(p)) is not None:
+        rev.append(i)
+        p = _right_q(data, p, i)
+    return WeylElement(data, tuple(reversed(rev)), q, y)
+
+
 def identity_element(data: KacMoodyData) -> WeylElement:
-    return WeylElement(data, (), _identity(data.n), _identity(data.rank))
-
-
-def simple_reflection(data: KacMoodyData, i: int) -> WeylElement:
-    return WeylElement(data, (i,), _right_q(data, _identity(data.n), i),
-                       _right_y(data, _identity(data.rank), i))
+    return _element(data, _identity(data.n), _identity(data.rank))
 
 
 def simple_reflect(data: KacMoodyData, i: int, v) -> tuple:
@@ -105,38 +109,14 @@ def simple_reflect(data: KacMoodyData, i: int, v) -> tuple:
     return tuple(x - c * data.simple_coroots[i][k] for k, x in enumerate(vv))
 
 
-def _product_matrices(data: KacMoodyData, word) -> tuple[IntMat, IntMat]:
-    q = _identity(data.n)
-    y = _identity(data.rank)
+def weyl_element(data: KacMoodyData, word) -> WeylElement:
+    q, y = _identity(data.n), _identity(data.rank)
     for i in word:
-        q = _right_q(data, q, i)
-        y = _right_y(data, y, i)
-    return q, y
-
-
-def length_and_reduce(data: KacMoodyData, word) -> tuple[int, tuple[int, ...]]:
-    """Exact length and a reduced word via the descent criterion:
-    l(w r_i) < l(w) iff w.alpha_i is a negative root.  The reduced word is
-    the normal form: peel the smallest right descent until none is left."""
-    word = tuple(int(i) for i in word)
-    for i in word:
+        i = int(i)
         if not 0 <= i < data.n:
             raise ValueError(f"index {i} out of range")
-    q = _identity(data.n)
-    for i in word:
-        q = _right_q(data, q, i)
-    rev: list[int] = []
-    while (i := _first_descent(q)) is not None:
-        rev.append(i)
-        q = _right_q(data, q, i)
-    reduced = tuple(reversed(rev))
-    return len(reduced), reduced
-
-
-def weyl_element(data: KacMoodyData, word) -> WeylElement:
-    _, reduced = length_and_reduce(data, word)
-    q, y = _product_matrices(data, reduced)
-    return WeylElement(data, reduced, q, y)
+        q, y = _right_q(data, q, i), _right_y(data, y, i)
+    return _element(data, q, y)
 
 
 @dataclass(frozen=True)
@@ -165,9 +145,15 @@ def simple_real_root(data: KacMoodyData, i: int) -> RealRoot:
 
 
 def reflection(data: KacMoodyData, alpha: RealRoot) -> WeylElement:
-    """r_alpha = w r_i w^{-1} for the witness; acts by x - alpha(x) alpha^vee."""
-    w = alpha.witness_word
-    return weyl_element(data, w + (alpha.witness_index,) + tuple(reversed(w)))
+    """r_alpha, read off x - alpha(x) alpha^vee: on roots, column j of q is
+    alpha_j - alpha_j(alpha^vee) alpha; on Y, y = I - alpha^vee (x) alpha."""
+    c, h = alpha.root.coeffs, alpha.coroot
+    at_h = [sum(x * z for x, z in zip(root, h)) for root in data.simple_roots]
+    cov = [sum(ci * root[k] for ci, root in zip(c, data.simple_roots)) for k in range(data.rank)]
+    q = tuple(tuple(int(r == j) - c[r] * at_h[j] for j in range(data.n)) for r in range(data.n))
+    y = tuple(tuple(int(k == m) - h[k] * cov[m] for m in range(data.rank))
+              for k in range(data.rank))
+    return _element(data, q, y)
 
 
 def reflect_vector(data: KacMoodyData, alpha: RealRoot, v) -> tuple:
@@ -190,9 +176,6 @@ class RootSet:
         for r in self.roots:
             out.setdefault(r.height(), []).append(r)
         return out
-
-    def coords_set(self) -> set[tuple[int, ...]]:
-        return {r.root.coeffs for r in self.roots}
 
     def find(self, v: RootVector) -> RealRoot | None:
         for r in self.roots:
@@ -269,18 +252,18 @@ def find_real_root(data: KacMoodyData, v: RootVector) -> RealRoot | None:
 
 
 def inversion_set(data: KacMoodyData, w: WeylElement) -> list[RealRoot]:
-    """Inv(w) from a reduced word; size equals l(w)."""
-    word = w.word
-    k = len(word)
+    """Inv(w) from its reduced word, one column update per letter: with u
+    the product of the letters read so far from the right, the next letter
+    i gives the root u.alpha_i (column i of u's q) and the coroot
+    u.alpha_i^vee, witnessed by the letters read.  Size equals l(w)."""
+    q, y = _identity(data.n), _identity(data.rank)
+    read: tuple[int, ...] = ()
     out: list[RealRoot] = []
-    prefix = identity_element(data)  # r_{j_k} r_{j_{k-1}} ... applied so far
-    for m in range(k):
-        idx = word[k - 1 - m]
-        alpha = simple_real_root(data, idx)
-        root = prefix.act_root(alpha.root)
-        coroot = _mat_vec(prefix.y_mat, alpha.coroot)
-        out.append(RealRoot(root, coroot, prefix.word, idx))
-        prefix = prefix * simple_reflection(data, idx)
+    for i in reversed(w.word):
+        root = RootVector(tuple(row[i] for row in q))
+        out.append(RealRoot(root, _mat_vec(y, data.simple_coroots[i]), read, i))
+        q, y = _right_q(data, q, i), _right_y(data, y, i)
+        read += (i,)
     return out
 
 

@@ -274,19 +274,19 @@ class TestDominantImage:
     def test_dominant_interior(self):
         cert = normalize_to_dominant(A2, (1, 1))
         assert isinstance(cert, InCone)
-        assert cert.w.is_identity() and cert.steps == 0 and cert.image == (1, 1)
+        assert cert.w.word == () and cert.steps == 0 and cert.image == (1, 1)
         assert all(A2.pair(r, cert.image) > 0 for r in A2.simple_roots)
 
     def test_zero_is_fixed(self):
         cert = normalize_to_dominant(AFF, (0, 0, 0))
-        assert isinstance(cert, InCone) and cert.w.is_identity()
+        assert isinstance(cert, InCone) and cert.w.word == ()
         assert all(AFF.pair(r, cert.image) == 0 for r in AFF.simple_roots)
 
     def test_inessential_direction_in_both_cones(self):
         # the central direction: every simple root vanishes, on both sides
         for v in ((0, 1, 0), (0, -1, 0)):
             cert = normalize_to_dominant(AFF, v)
-            assert isinstance(cert, InCone) and cert.w.is_identity()
+            assert isinstance(cert, InCone) and cert.w.word == ()
             assert all(AFF.pair(r, v) == 0 for r in AFF.simple_roots)
 
     def test_negative_side_of_finite_type(self):
@@ -382,7 +382,7 @@ class TestClosedInterval:
     def test_interval_roots_are_real(self):
         # every non-endpoint member must be a genuine positive combination
         a, b = simple_real_root(A2, 0), simple_real_root(A2, 1)
-        coords = enumerate_real_roots(A2, 3).coords_set()
+        coords = {r.root.coeffs for r in enumerate_real_roots(A2, 3).roots}
         for r in closed_interval(A2, a, b):
             assert r.coeffs in coords
 

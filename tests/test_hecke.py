@@ -73,7 +73,7 @@ class TestPiecewisePath:
 class TestBilliard:
     def test_straight_segment(self):
         rep = is_billiard(A1, straight((Fraction(0),), (Fraction(2),)), (2,))
-        assert rep.ok and all(w is not None and w.is_identity() for w in rep.witnesses)
+        assert rep.ok and all(w is not None and w.word == () for w in rep.witnesses)
 
     def test_tree_fold(self):
         path = tree_fold_path()
@@ -81,7 +81,7 @@ class TestBilliard:
         assert rep.ok
         # witnesses: reflection then identity
         assert rep.witnesses[0].length() == 1
-        assert rep.witnesses[1].is_identity()
+        assert rep.witnesses[1].word == ()
 
     def test_wrong_norm_rejected(self):
         bad = PiecewisePath((Fraction(0), Fraction(1, 2), Fraction(1)),

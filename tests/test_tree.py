@@ -124,7 +124,7 @@ class TestAction:
             assert not fixes_point(x_minus(t(F2, x - 1)), p)
 
     def test_padic_action(self):
-        g = t_diag(Q2.from_int(2))
+        g = t_diag(Q2.monomial(2, 0))
         assert act(g, origin(Q2)).x == -2
 
 

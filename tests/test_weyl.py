@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import masure.weyl
 from masure.kmdata import (
     RootVector,
     affine_sl2_data,
@@ -22,7 +23,6 @@ from masure.weyl import (
     enumerate_real_roots,
     find_real_root,
     inversion_set,
-    length_and_reduce,
     reflect_vector,
     reflection,
     simple_real_root,
@@ -50,15 +50,18 @@ class TestSimpleReflect:
         assert simple_reflect(AFF, 1, simple_reflect(AFF, 1, v)) == tuple(map(int, v))
 
 
-class TestLengthAndReduce:
+def _coords(rs):
+    return {r.root.coeffs for r in rs.roots}
+
+
+class TestReducedWord:
     def test_square_is_identity(self):
-        assert length_and_reduce(AFF, (1, 1)) == (0, ())
+        assert weyl_element(AFF, (1, 1)).word == ()
 
     def test_infinite_dihedral_word(self):
-        l, red = length_and_reduce(AFF, (1, 0, 1, 0))
-        assert (l, red) == (4, (1, 0, 1, 0))
-        # oracle: the brute-force inversion count over roots of height <= 9
         w = weyl_element(AFF, (1, 0, 1, 0))
+        assert (w.length(), w.word) == (4, (1, 0, 1, 0))
+        # oracle: the brute-force inversion count over roots of height <= 9
         assert len(brute_inversion_set(AFF, w, 9)) == 4
 
     def test_braid_relation_a2(self):
@@ -71,7 +74,7 @@ class TestLengthAndReduce:
         # l(r_i w) < l(w) iff w^{-1}.alpha_i is a negative root
         for w in all_elements_up_to_length(AFF, 5):
             for i in range(2):
-                lower = length_and_reduce(AFF, (i,) + w.word)[0] < w.length()
+                lower = weyl_element(AFF, (i,) + w.word).length() < w.length()
                 image = w.inverse().act_root(simple_root_vector(2, i))
                 assert lower == image.is_negative()
 
@@ -111,7 +114,7 @@ class TestInversionSets:
 class TestEnumeration:
     def test_affine_h5(self):
         rs = enumerate_real_roots(AFF, 5)
-        assert rs.coords_set() == {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
+        assert _coords(rs) == {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
         assert {h: len(v) for h, v in rs.by_height().items()} == {1: 2, 3: 2, 5: 2}
 
     def test_affine_form(self):
@@ -120,17 +123,17 @@ class TestEnumeration:
             assert abs(m - n) == 1
 
     def test_a2(self):
-        assert enumerate_real_roots(A2, 2).coords_set() == {(1, 0), (0, 1), (1, 1)}
+        assert _coords(enumerate_real_roots(A2, 2)) == {(1, 0), (0, 1), (1, 1)}
 
     def test_height_one_is_simple(self):
         for data in (AFF, A2, R15):
             rs = enumerate_real_roots(data, 1)
-            assert rs.coords_set() == {simple_root_vector(data.n, i).coeffs
+            assert _coords(rs) == {simple_root_vector(data.n, i).coeffs
                                        for i in range(data.n)}
 
     def test_no_duplicates(self):
         rs = enumerate_real_roots(R15, 20)
-        assert len(rs.roots) == len(rs.coords_set())
+        assert len(rs.roots) == len(_coords(rs))
 
     def test_witness_reflection_negates(self):
         for r in enumerate_real_roots(AFF, 9).roots:
@@ -141,7 +144,7 @@ class TestEnumeration:
         bound = 9
         for data in (AFF, R15):
             rs = enumerate_real_roots(data, bound)
-            coords = rs.coords_set()
+            coords = _coords(rs)
             for r in rs.roots:
                 for i in range(data.n):
                     img = weyl_element(data, (i,)).act_root(r.root)
@@ -171,7 +174,7 @@ class TestReflection:
     def test_involution(self):
         for alpha in enumerate_real_roots(R15, 9).roots:
             w = reflection(R15, alpha)
-            assert (w * w).is_identity()
+            assert (w * w).word == ()
 
     def test_displayed_formula(self):
         for alpha in enumerate_real_roots(AFF, 7).roots:
@@ -277,7 +280,7 @@ def test_weyl_element_matches_from_scratch(case):
     data = KERNEL_DATA[name]
     w = weyl_element(data, word)
     assert (w.word, w.q_mat, w.y_mat) == _ref_element(data, word)
-    assert length_and_reduce(data, word) == (len(w.word), w.word)
+    assert weyl_element(data, w.word).word == w.word
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,3 +321,66 @@ def test_find_real_root_rejects_non_roots(name, draw):
     v = tuple(draw.draw(st.lists(st.integers(-12, 12), min_size=data.n, max_size=data.n)))
     found = find_real_root(data, RootVector(v))
     assert (found is not None) == (v in SIGNED_ROOTS[name])
+
+
+# ---------------------------------------------------------------------------
+# reflections and inversion sets from the matrices, against words
+
+RANK4 = minimal_realization(validate([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2],
+                                      [0, 0, -2, 2]]))
+WORD_DATA = {**{name: KERNEL_DATA[name] for name in POOL}, "rank4": RANK4}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_DATA))
+def test_reflection_matches_the_conjugate_word(name):
+    """r_alpha read off x - alpha(x) alpha^vee is the element w r_i w^-1 of
+    the witness, with the same normal form and matrices."""
+    data = WORD_DATA[name]
+    for pos in enumerate_real_roots(data, 9).roots:
+        for alpha in (pos, pos.negate()):
+            w = alpha.witness_word
+            got = reflection(data, alpha)
+            want = weyl_element(data, w + (alpha.witness_index,) + tuple(reversed(w)))
+            assert (got.word, got.q_mat, got.y_mat) == (want.word, want.q_mat, want.y_mat)
+
+
+@pytest.mark.parametrize("data, word", [(AFF, (0, 1) * 20), (RANK4, (0, 1, 2, 3) * 8),
+                                        (KERNEL_DATA["hyperbolic"], (0, 1, 2) * 10)])
+def test_inversion_set_makes_one_update_per_letter(monkeypatch, data, word):
+    w = weyl_element(data, word)
+    calls = []
+    right_q = masure.weyl._right_q
+    monkeypatch.setattr(masure.weyl, "_right_q",
+                        lambda *args: calls.append(args[2]) or right_q(*args))
+    inv = inversion_set(data, w)
+    assert len(w.word) == len(word) and len(inv) == len(calls) == len(word)
+    assert calls == list(reversed(w.word))
+
+
+@st.composite
+def _rank3_word(draw):
+    name = draw(st.sampled_from(sorted(n for n, d in WORD_DATA.items() if d.n >= 3)))
+    n = WORD_DATA[name].n
+    return name, tuple(draw(st.lists(st.integers(0, n - 1), max_size=40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank3_word())
+def test_inversion_set_by_column_updates(case):
+    """Inv(w) is the l(w) distinct positive roots that w sends negative (so
+    it is all of Inv(w)), its low part is the brute-force one, and every
+    witness is a reduced word of length its position that rebuilds the root
+    and coroot."""
+    name, word = case
+    data = WORD_DATA[name]
+    w = weyl_element(data, word)
+    inv = inversion_set(data, w)
+    coords = {r.root.coeffs for r in inv}
+    assert len(coords) == len(inv) == w.length()
+    assert all(r.root.is_positive() and w.act_root(r.root).is_negative() for r in inv)
+    assert {c for c in coords if sum(c) <= 12} == brute_inversion_set(data, w, 12)
+    for m, r in enumerate(inv):
+        u = weyl_element(data, r.witness_word)
+        assert u.length() == len(r.witness_word) == m  # reduced
+        assert u.act_root(simple_root_vector(data.n, r.witness_index)) == r.root
+        assert u.act_y(data.simple_coroots[r.witness_index]) == r.coroot
