@@ -244,7 +244,7 @@ def check_retraction_characterization(seed: int = DEFAULT_SEED) -> CheckResult:
 def check_hecke_from_retractions(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = random.Random(seed + 8)
     cfg = FieldConfig.laurent(2)
-    data = hecke.rank1_data()
+    data = kmdata.finite_a1_data()
     chamber = hecke.standard_chamber(data, -1)
     ok = True
     n_folds = 0

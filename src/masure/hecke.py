@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .cone import InCone, normalize_to_dominant
 from .kmdata import KacMoodyData, finite_a1_data
-from .linalg import combination_system, fm_feasible, positive_combination
+from .linalg import combination_system, fm_feasible
 from .weyl import (
     RealRoot,
     WeylElement,
@@ -221,10 +221,6 @@ def verify_fold(data: KacMoodyData, anchor, xi_minus, xi_plus,
 # ---------------------------------------------------------------------------
 # dominance
 
-def _in_coroot_cone(data: KacMoodyData, v: Vec) -> bool:
-    return positive_combination(data.simple_coroots, v) is not None
-
-
 def positively_free_coroots(data: KacMoodyData) -> bool:
     """No nonzero nonnegative combination of the coroots vanishes."""
     ineqs = combination_system(data.simple_coroots, (0,) * data.rank)
@@ -240,7 +236,7 @@ def check_dominance(data: KacMoodyData, path: PiecewisePath, chamber_sign: int) 
     sign = -1 if chamber_sign < 0 else 1
     for u, w in [*zip(vels, vels[1:]), (vels[0], path.displacement())]:
         diff = tuple(sign * (a - b) for a, b in zip(u, w, strict=True))
-        if not _in_coroot_cone(data, diff):
+        if not fm_feasible(combination_system(data.simple_coroots, diff)):
             return False
     # diff is now the endpoint comparison
     is_segment = len(path.fold_times()) == 0

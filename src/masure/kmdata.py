@@ -1,10 +1,10 @@
 """Generalized Cartan matrices and root data.
 
 Validation of the three matrix axioms, decomposition into indecomposable
-blocks, the finite/affine/indefinite trichotomy by the exact inertia of the
-symmetrized matrix, the extreme rays of {c >= 0, A c <= 0}, and free
-realizations (lattices plus simple roots/coroots with the compatibility
-pairing).
+blocks, the finite/affine/indefinite trichotomy by the sign of the solution
+of A u = (1, ..., 1) or of the kernel of A (Kac, Thm 4.3), the extreme rays
+of {c >= 0, A c <= 0}, and free realizations (lattices plus simple
+roots/coroots with the compatibility pairing).
 """
 
 from __future__ import annotations
@@ -115,61 +115,14 @@ def decompose(a: KacMoodyMatrix) -> list[tuple[int, ...]]:
     return comps
 
 
-def _symmetrized(a: KacMoodyMatrix) -> list[list[Fraction]] | None:
-    """The symmetric B with A = D B for a positive diagonal D, or None if A is
-    not symmetrizable; D is 1 at the first index of each block."""
-    n = a.n
-    d: list[Fraction | None] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j == i or a[i, j] == 0:
-                    continue
-                dj = d[i] * a[j, i] / a[i, j]
-                if d[j] is None:
-                    d[j] = dj
-                    stack.append(j)
-                elif d[j] != dj:
-                    return None
-    return [[a[i, j] / d[i] for j in range(n)] for i in range(n)]
-
-
-def _inertia(m) -> tuple[int, int]:
-    """(positive, negative) index of inertia of a symmetric rational matrix,
-    by diagonalizing it with congruences (Sylvester's law of inertia)."""
-    m = [list(row) for row in m]
-    pos = neg = 0
-    while m:
-        size = len(m)
-        k = next((k for k in range(size) if m[k][k] != 0), None)
-        if k is None:
-            k, j = next(((k, j) for k in range(size) for j in range(size) if m[k][j] != 0),
-                        (None, None))
-            if k is None:
-                break
-            # add row and column j to k; the diagonal entry becomes 2 m[k][j]
-            m[k] = [x + y for x, y in zip(m[k], m[j])]
-            for row in m:
-                row[k] += row[j]
-        piv = m[k][k]
-        pos, neg = pos + (piv > 0), neg + (piv < 0)
-        m = [[m[i][j] - m[i][k] * m[k][j] / piv for j in range(size) if j != k]
-             for i in range(size) if i != k]
-    return pos, neg
-
-
 def classify(a: KacMoodyMatrix) -> KMClass:
-    """Trichotomy for an indecomposable matrix, by the inertia of B in A = D B.
+    """Trichotomy for an indecomposable matrix (Kac, Infinite-dimensional
+    Lie algebras, Thm 4.3): finite iff some u > 0 has A u > 0, affine iff
+    corank 1 with some u > 0 in the kernel, indefinite otherwise.
 
-    Finite and affine matrices are symmetrizable (Kac, Infinite-dimensional
-    Lie algebras, ch. 4): A is finite iff B is positive definite and affine
-    iff B is positive semidefinite and singular.  Every other matrix, every
-    non-symmetrizable one included, is indefinite.
+    A finite A has A^-1 > 0, so it is the invertible A whose solution of
+    A u = (1, ..., 1) is positive; an affine A is the singular one whose
+    kernel is a line through a positive vector.
     """
     return a._kind
 
@@ -177,13 +130,14 @@ def classify(a: KacMoodyMatrix) -> KMClass:
 def _classify(a: KacMoodyMatrix) -> KMClass:
     if len(decompose(a)) != 1:
         raise Decomposable("classification requires an indecomposable matrix")
-    b = _symmetrized(a)
-    if b is None:
-        return KMClass.INDEFINITE
-    pos, neg = _inertia(b)
-    if neg:
-        return KMClass.INDEFINITE
-    return KMClass.FINITE if pos == a.n else KMClass.AFFINE
+    n = a.n
+    m, pivots = rref([row + (1,) for row in a.entries])
+    if pivots == list(range(n)):
+        return KMClass.FINITE if all(row[n] > 0 for row in m) else KMClass.INDEFINITE
+    kernel = kernel_basis(a.entries)  # a 1 on the free column: a positive line gives u > 0
+    if len(kernel) == 1 and all(x > 0 for x in kernel[0]):
+        return KMClass.AFFINE
+    return KMClass.INDEFINITE
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Lattice model of the tree's vertex set: full-rank O-lattices in F^2 up
 to scaling, with the graph distance computed from elementary divisors
-(Smith normal form over the valuation ring).  Used as an independent
-oracle for the canonical-coordinates distance.
+(Smith normal form over the valuation ring, read off the entry and
+determinant valuations).  Used as an independent oracle for the
+canonical-coordinates distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import INF, Mat2, tail_reduce
+from .fields import Mat2, matrix_valuation, tail_reduce
 from .tree import TreePoint
 
 
@@ -39,34 +40,15 @@ def vertex_to_lattice(v: TreePoint) -> Lattice:
 
 def smith_valuations(m: Mat2) -> tuple[int, int]:
     """Valuations (v1, v2), v1 <= v2, of the elementary divisors of an
-    invertible 2x2 matrix over the valuation ring's fraction field.
-
-    Row/column operations over O: pivot on a minimal-valuation entry,
-    clear its row and column, read off the diagonal valuations.
+    invertible 2x2 matrix over the valuation ring's fraction field: v1 is
+    the least entry valuation (the gcd of the 1x1 minors) and v1 + v2 the
+    valuation of the determinant.
     """
-    ents = [[m.a, m.b], [m.c, m.d]]
-    vals = [[e.valuation() for e in row] for row in ents]
-    if m.det().is_zero():
+    det = m.det()
+    if det.is_zero():
         raise SingularLattice("singular matrix has no elementary divisors")
-    pi, pj = min(((i, j) for i in range(2) for j in range(2)),
-                 key=lambda ij: vals[ij[0]][ij[1]])
-    if pi == 1:
-        ents[0], ents[1] = ents[1], ents[0]
-    if pj == 1:
-        for row in ents:
-            row[0], row[1] = row[1], row[0]
-    pivot = ents[0][0]
-    # clear: row2 -= (c/pivot) row1, col2 -= (b/pivot) col1; quotients are in O
-    f = ents[1][0] / pivot
-    ents[1][0] = ents[1][0] - f * ents[0][0]
-    ents[1][1] = ents[1][1] - f * ents[0][1]
-    g = ents[0][1] / pivot
-    ents[0][1] = ents[0][1] - g * ents[0][0]
-    ents[1][1] = ents[1][1] - g * ents[1][0]
-    v1 = pivot.valuation()
-    v2 = ents[1][1].valuation()
-    assert v1 is not INF and v2 is not INF
-    return (v1, v2) if v1 <= v2 else (v2, v1)
+    v1 = matrix_valuation(m)
+    return v1, det.valuation() - v1
 
 
 def lattice_distance(l1: Lattice, l2: Lattice) -> int:

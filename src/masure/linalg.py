@@ -1,5 +1,6 @@
 """Small exact linear algebra over Fraction: elimination, kernels, and
-Fourier-Motzkin feasibility for weak rational inequality systems.
+Fourier-Motzkin feasibility for weak rational inequality systems: the
+one elimination of each kind that ``kmdata`` and ``hecke`` decide with.
 """
 
 from __future__ import annotations
@@ -70,14 +71,12 @@ def _normalize(ineq: Ineq) -> Ineq:
     return tuple(x / scale for x in coeffs), const / scale
 
 
-def _eliminate(ineqs: list[Ineq]) -> tuple[list[set[Ineq]], bool]:
-    """Eliminate x_0, x_1, ... in turn.  Returns the deduplicated system
-    before each elimination and whether the system is feasible."""
+def fm_feasible(ineqs: list[Ineq]) -> bool:
+    """Feasibility of a finite system of weak inequalities over Q: eliminate
+    x_0, x_1, ... in turn and test the variable-free remainder."""
     nvars = len(ineqs[0][0]) if ineqs else 0
     system = {_normalize(iq) for iq in ineqs}
-    stages = []
     for var in range(nvars):
-        stages.append(system)
         pos, neg, new = [], [], set()
         for coeffs, const in system:
             c = coeffs[var]
@@ -94,12 +93,7 @@ def _eliminate(ineqs: list[Ineq]) -> tuple[list[set[Ineq]], bool]:
                 coeffs = tuple(b * x + a * y for x, y in zip(cp, cn, strict=True))
                 new.add(_normalize((coeffs, b * kp + a * kn)))
         system = new
-    return stages, all(const <= 0 for _, const in system)
-
-
-def fm_feasible(ineqs: list[Ineq]) -> bool:
-    """Feasibility of a finite system of weak inequalities over Q."""
-    return _eliminate(ineqs)[1]
+    return all(const <= 0 for _, const in system)
 
 
 def combination_system(vectors: Sequence[Sequence], target: Sequence) -> list[Ineq]:
@@ -112,42 +106,3 @@ def combination_system(vectors: Sequence[Sequence], target: Sequence) -> list[In
     for j in range(k):
         ineqs.append((tuple(Fraction(int(i == j)) for i in range(k)), Fraction(0)))
     return ineqs
-
-
-def positive_combination(vectors: Sequence[Sequence], target: Sequence) -> Vec | None:
-    """Coefficients c >= 0 with sum c_i vectors[i] = target, or None."""
-    if not vectors:
-        return () if all(x == 0 for x in target) else None
-    return _fm_witness(combination_system(vectors, target))
-
-
-def _fm_witness(ineqs: list[Ineq]) -> Vec | None:
-    """Explicit point of a feasible FM system by back-substitution over the
-    elimination stages, re-checked against every input inequality."""
-    stages, feasible = _eliminate(ineqs)
-    if not feasible:
-        return None
-    nvars = len(stages)
-    x = [Fraction(0)] * nvars
-    for var in reversed(range(nvars)):
-        lo, hi = None, None
-        for coeffs, const in stages[var]:
-            c = coeffs[var]
-            if c == 0:
-                continue
-            rest = const - sum(
-                coeffs[j] * x[j] for j in range(nvars) if j != var and coeffs[j] != 0
-            )
-            b = rest / c
-            if c > 0:
-                lo = b if lo is None else max(lo, b)
-            else:
-                hi = b if hi is None else min(hi, b)
-        if lo is not None:
-            x[var] = lo
-        elif hi is not None:
-            x[var] = hi
-    for coeffs, const in ineqs:
-        if sum(c * v for c, v in zip(coeffs, x, strict=True)) < const:
-            return None
-    return tuple(x)

@@ -231,10 +231,7 @@ def check_binomial_specialization(n: int) -> bool:
             nxt[i + 1] += c
             nxt[i] += c * k
         rising = nxt
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    expected = {i: c / fact for i, c in enumerate(rising) if c}
+    expected = {i: c / factorial(n) for i, c in enumerate(rising) if c}
     return {k: v for k, v in spec.items() if v} == expected
 
 

@@ -14,17 +14,16 @@ from masure.hecke import (
     is_billiard,
     path_from_tree,
     positively_free_coroots,
-    rank1_data,
     replay_chain,
     standard_chamber,
     verify_fold,
     verify_path,
 )
-from masure.kmdata import affine_sl2_data, finite_a2_data
+from masure.kmdata import affine_sl2_data, finite_a1_data, finite_a2_data, validate_data
 from masure.tree import make_point, retract_segment
 
 F2 = FieldConfig.laurent(2)
-A1 = rank1_data()
+A1 = finite_a1_data()
 AFF = affine_sl2_data()
 A2 = finite_a2_data()
 
@@ -179,6 +178,26 @@ class TestDominance:
         for data, v in ((A1, (Fraction(-2),)), (AFF, (Fraction(1), Fraction(0), Fraction(3)))):
             path = straight((Fraction(0),) * data.rank, v)
             assert check_dominance(data, path, +1) and check_dominance(data, path, -1)
+
+    def test_dependent_coroots(self):
+        # the coroots (1, 0) and (-1, 0) of a non-cofree affine datum: the
+        # coroot cone is the whole line y = 0, so Fourier-Motzkin meets a
+        # kernel direction, and a fold may keep the endpoint comparison at 0
+        data = validate_data([[2, -2], [-2, 2]], 2, [(2, 0), (-2, 1)], [(1, 0), (-1, 0)])
+        assert not positively_free_coroots(data)
+        along = PiecewisePath((Fraction(0), Fraction(1, 2), Fraction(1)),
+                              ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1, 2)),
+                               (Fraction(0), Fraction(1))))
+        across = PiecewisePath(along.breakpoints,
+                               ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1, 2)),
+                                (Fraction(2), Fraction(0))))
+        assert along.fold_times() == across.fold_times() == [1]
+        for sign in (+1, -1):
+            assert check_dominance(data, straight((Fraction(0),) * 2, (Fraction(3), Fraction(5))),
+                                   sign)
+            # velocities (2, 1) -> (-2, 1) differ along the line, (2, 1) -> (2, -1) across it
+            assert check_dominance(data, along, sign)
+            assert not check_dominance(data, across, sign)
 
     def test_coroot_cone_dimension_mismatch(self):
         # rank-1 velocities against the rank-2 coroots of A2

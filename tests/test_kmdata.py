@@ -438,3 +438,57 @@ def test_rays_are_extreme_and_span_the_interior():
             total = [sum(col) for col in zip(*rays)]
             assert min(total) > 0, m
             assert max(sum(a * x for a, x in zip(row, total)) for row in m) < 0, m
+
+
+# ---------------------------------------------------------------------------
+# the type at ranks 5 to 10, past the reach of the principal-minor oracle
+
+def _star(*arms):
+    """Simply-laced tree: arms of the given lengths at the centre, node 0."""
+    edges, n = [], 1
+    for length in arms:
+        edges += [(0 if k == 0 else n + k - 1, n + k) for k in range(length)]
+        n += length
+    return _simply_laced(n, edges)
+
+
+def _path(n):
+    return _simply_laced(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _cycle(n):
+    return _simply_laced(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _affine_d(n):
+    """D_n^(1): a path 1 .. n - 1 with one more leaf at node 2 and at node n - 2."""
+    return _simply_laced(n + 1, [(i, i + 1) for i in range(1, n - 1)] + [(0, 2), (n - 2, n)])
+
+
+def _twisted_d5():
+    """D_5^(2): a path of 5 nodes, both end bonds double, delta = (1, 1, 1, 1, 1)."""
+    m = _path(5)
+    m[0][1], m[4][3] = -2, -2
+    return m
+
+
+LARGE_TYPES = {
+    "A5": (_path(5), "finite"), "A10": (_path(10), "finite"),
+    "D5": (_star(1, 1, 2), "finite"), "D10": (_star(1, 1, 7), "finite"),
+    "E6": (_star(1, 2, 2), "finite"), "E7": (_star(1, 2, 3), "finite"),
+    "E8": (_star(1, 2, 4), "finite"),
+    "A4^(1)": (_cycle(5), "affine"), "A9^(1)": (_cycle(10), "affine"),
+    "D5^(1)": (_affine_d(5), "affine"), "D9^(1)": (_affine_d(9), "affine"),
+    "E6^(1)": (_star(2, 2, 2), "affine"), "E7^(1)": (_star(1, 3, 3), "affine"),
+    "E8^(1)": (_star(1, 2, 5), "affine"), "D5^(2)": (_twisted_d5(), "affine"),
+    "E10": (LARGE_HYPERBOLIC["E10"], "indefinite"),
+    "cycle 10 + chord": (_simply_laced(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5)]),
+                         "indefinite"),
+}
+
+
+@pytest.mark.parametrize("rows, kind", LARGE_TYPES.values(), ids=LARGE_TYPES.keys())
+def test_large_types(rows, kind):
+    m = validate(rows)
+    assert 5 <= m.n <= 10
+    assert classify(m).value == classify(m.transpose()).value == kind

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from masure.fields import FieldConfig, Mat2, t_diag, x_plus
 from masure.lattices import (
@@ -17,6 +19,7 @@ from masure.lattices import (
 from masure.tree import act, ball, distance, make_point, origin
 
 F2 = FieldConfig.laurent(2)
+F3 = FieldConfig.laurent(3)
 Q3 = FieldConfig.padic(3)
 
 
@@ -43,6 +46,46 @@ class TestSmith:
     def test_singular(self):
         with pytest.raises(SingularLattice):
             smith_valuations(Mat2(F2.one(), F2.one(), F2.one(), F2.one()))
+
+
+def eliminated_valuations(m: Mat2) -> tuple[int, int]:
+    """Test-local reference: row and column operations over O pivot on an
+    entry of least valuation, clear its row and column, and read the
+    valuations off the diagonal."""
+    ents = [[m.a, m.b], [m.c, m.d]]
+    pi, pj = min(((i, j) for i in range(2) for j in range(2)),
+                 key=lambda ij: ents[ij[0]][ij[1]].valuation())
+    if pi == 1:
+        ents.reverse()
+    if pj == 1:
+        ents = [row[::-1] for row in ents]
+    (p, b), (c, d) = ents
+    # row 2 -= (c/p) row 1 leaves d - (c/p) b in the corner, and column 2 -=
+    # (b/p) column 1 then clears b alone; both quotients lie in O
+    d = d - (c / p) * b
+    v1, v2 = p.valuation(), d.valuation()
+    return (v1, v2) if v1 <= v2 else (v2, v1)
+
+
+def _entries(cfg):
+    """0, or pi^k times a unit u/w with u, w sums of digit * pi^i, k in [-4, 4]."""
+    def build(k, num, den):
+        unit = [sum((cfg.monomial(c, i) for i, c in enumerate(digits)), start=cfg.zero())
+                for digits in (num, den)]
+        return cfg.uniformizer_pow(k) * unit[0] / unit[1]
+
+    digits = st.tuples(st.integers(1, cfg.p - 1),
+                       *[st.integers(0, cfg.p - 1)] * 2)
+    return st.one_of(st.just(cfg.zero()), st.builds(build, st.integers(-4, 4), digits, digits))
+
+
+@pytest.mark.parametrize("cfg", [F2, F3, Q3], ids=str)
+@settings(deadline=None)
+@given(data=st.data())
+def test_smith_matches_elimination(cfg, data):
+    m = Mat2(*(data.draw(_entries(cfg)) for _ in range(4)))
+    assume(not m.det().is_zero())
+    assert smith_valuations(m) == eliminated_valuations(m)
 
 
 class TestLatticeDistance:

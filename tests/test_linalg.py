@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masure.linalg import _fm_witness, fm_feasible, kernel_basis, positive_combination, rank, rref
+from masure.linalg import combination_system, fm_feasible, kernel_basis, rank, rref
 
-try:  # imported here, not inside the property, whose examples have a 200 ms deadline
+try:  # imported here, not inside the properties, whose examples have a 200 ms deadline
     import sympy
+    from sympy.solvers.simplex import InfeasibleLPError, lpmin
 except ImportError:
     sympy = None
 
@@ -65,25 +66,24 @@ def test_system_around_a_point_is_feasible(data):
     x0 = data.draw(vectors(n))
     rows = data.draw(st.lists(vectors(n), min_size=1, max_size=6))
     slack = data.draw(st.lists(nonneg, min_size=len(rows), max_size=len(rows)))
-    ineqs = [(r, dot(r, x0) - s) for r, s in zip(rows, slack)]
-    assert fm_feasible(ineqs)
-    x = _fm_witness(ineqs)
-    assert x is not None
-    assert all(dot(c, x) >= k for c, k in ineqs)
+    assert fm_feasible([(r, dot(r, x0) - s) for r, s in zip(rows, slack)])
 
 
 @given(st.data())
-def test_positive_combination_witness(data):
+def test_nonnegative_combination_is_feasible(data):
     dim = data.draw(st.integers(1, 3))
     vecs = data.draw(st.lists(vectors(dim), min_size=1, max_size=4))
     c0 = data.draw(st.lists(nonneg, min_size=len(vecs), max_size=len(vecs)))
     target = tuple(sum((c * v[i] for c, v in zip(c0, vecs)), start=Fraction(0))
                    for i in range(dim))
-    c = positive_combination(vecs, target)
-    assert c is not None and len(c) == len(vecs)
-    assert all(isinstance(x, Fraction) and x >= 0 for x in c)
-    assert tuple(sum((ci * v[i] for ci, v in zip(c, vecs)), start=Fraction(0))
-                 for i in range(dim)) == target
+    ineqs = combination_system(vecs, target)
+    # c0 satisfies every inequality: sum c_i v_i = target, both ways, and c >= 0
+    assert all(dot(coeffs, c0) >= const for coeffs, const in ineqs)
+    assert fm_feasible(ineqs)
+    # pushing the target off the span of the vectors leaves no combination
+    for normal in kernel_basis(vecs)[:1]:
+        off = tuple(t + x for t, x in zip(target, normal))
+        assert not fm_feasible(combination_system(vecs, off))
 
 
 @given(st.data())
@@ -93,11 +93,29 @@ def test_contradiction_is_infeasible(data):
     extra = data.draw(st.lists(st.tuples(vectors(n), fracs), max_size=4))
     ineqs = [(a, Fraction(1)), (tuple(-x for x in a), Fraction(0))] + extra
     assert not fm_feasible(ineqs)
-    assert _fm_witness(ineqs) is None
 
 
-def test_positive_combination_rejects_dimension_mismatch():
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_feasibility_matches_sympy_lp(data):
+    n = data.draw(st.integers(1, 3))
+    ineqs = data.draw(st.lists(st.tuples(vectors(n), fracs), min_size=1, max_size=6))
+    xs = sympy.symbols(f"x0:{n}")
+    constraints = [sum((sympy.Rational(c.numerator, c.denominator) * x
+                        for c, x in zip(coeffs, xs)), start=sympy.Integer(0))
+                   >= sympy.Rational(const.numerator, const.denominator)
+                   for coeffs, const in ineqs]
+    try:
+        lpmin(0, constraints)
+    except InfeasibleLPError:
+        assert not fm_feasible(ineqs)
+    else:
+        assert fm_feasible(ineqs)
+
+
+def test_combination_system_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        positive_combination([(Fraction(1), Fraction(0))], (Fraction(1),))
+        combination_system([(Fraction(1), Fraction(0))], (Fraction(1),))
     with pytest.raises(ValueError):
-        positive_combination([(Fraction(1),), (Fraction(1), Fraction(2))], (Fraction(1),))
+        combination_system([(Fraction(1),), (Fraction(1), Fraction(2))], (Fraction(1),))

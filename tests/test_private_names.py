@@ -18,6 +18,7 @@ TEST_REFERENCES = {
     # that only this function reads
     "column_normal_form": "the only reader of lattices.tail_reduce, which the benchmark wraps",
     "RootSet.find": "benchmarks/workloads.py reads it",
+    "rank1_data": "benchmarks/workloads.py reads it",
 }
 
 
