@@ -437,25 +437,19 @@ def _parse_path(text: str, dim: int) -> hecke.PiecewisePath:
     )
 
 
-# The largest H (root height), L (word length) and k_max (reflections per
-# fold chain) hecke verify takes.  The work multiplies: on the rank-3
-# hyperbolic [[2,-2,0],[-2,2,-1],[0,-1,2]], a path with one fold that no
-# chain explains takes 0.5 s at the default 9,6,3, 0.9-1.0 s at 12,16,3,
-# 1.7 s at 9,6,4 and 4.8 s at 12,16,4 (2-core x86-64 VM, Python 3.11.7).
-# At rank 4 the same path takes 3.8 s at 12,16,3.
-HECKE_MAX_BOUNDS = (12, 16, 3)
+# The longest words hecke verify tries for a velocity whose dominant image
+# is not certified: it builds every Weyl element of length <= L, 1069 of
+# them at 16 on the rank-3 hyperbolic [[2,-2,0],[-2,2,-1],[0,-1,2]].
+HECKE_MAX_WORDS = 16
 
-
-def _bounds_arg(text: str) -> tuple[int, int, int]:
-    try:
-        hb, wb, kmax = (int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"--bounds takes H,L,k_max as three integers, got {text!r}") from None
-    h_cap, l_cap, k_cap = HECKE_MAX_BOUNDS
-    if not (1 <= hb <= h_cap and 0 <= wb <= l_cap and 1 <= kmax <= k_cap):
-        raise UsageError(f"--bounds needs 1 <= H <= {h_cap}, 0 <= L <= {l_cap} and "
-                         f"1 <= k_max <= {k_cap}, got {text!r}")
-    return hb, wb, kmax
+# The largest fold hecke verify searches, as d * ht(D) (hecke.fold_size),
+# the most reflections a chain for the fold can take.  The search grows with
+# it and with the rank.  From a start with alpha_j = 1 for every j, down by a
+# D spread evenly over the coroots, which no chain explains, 64 takes 0.34 s
+# on affine A3, 0.04 s on affine A2 and 0.02 s on the hyperbolic datum above;
+# at rank 6 (affine A5) 24 takes 0.2 s, and at rank 10 (E10) 16 takes 0.3 s,
+# 24 2.1 s and 64 far longer (2-core x86-64 VM, Python 3.11.7).
+HECKE_MAX_FOLD = 64
 
 
 def _path_json(path: hecke.PiecewisePath) -> dict:
@@ -467,9 +461,15 @@ def _cmd_hecke(args) -> int:
     data = _data_arg(args.data)
     path = _parse_path(args.path, data.rank)
     shape = _vec_arg(args.shape, data.rank)
-    hb, wb, kmax = _bounds_arg(args.bounds)
+    if not 0 <= args.words <= HECKE_MAX_WORDS:
+        raise UsageError(f"--words must be in 0..{HECKE_MAX_WORDS}, got {args.words}")
     chamber = hecke.standard_chamber(data, 1 if args.chamber == "+" else -1)
-    report = hecke.verify_path(data, path, shape, chamber, hb, wb, kmax)
+    for k in path.fold_times():
+        size = hecke.fold_size(data, path.velocity(k - 1), path.velocity(k), chamber)
+        if size > HECKE_MAX_FOLD:
+            raise UsageError(f"the fold at time {_frac_str(path.breakpoints[k])} has d*ht(D) = "
+                             f"{size}, more than the {HECKE_MAX_FOLD} searched")
+    report = hecke.verify_path(data, path, shape, chamber, word_bound=args.words)
     folds = []
     for f in report.folds:
         if isinstance(f.witness, hecke.ChainWitness):
@@ -479,7 +479,8 @@ def _cmd_hecke(args) -> int:
                 "chain_roots": [list(r.root.coeffs) for r in f.witness.roots],
             })
         else:
-            folds.append({"time": _frac_str(f.time), "verdict": "refuted_within_bound"})
+            verdict = "no_chain" if isinstance(f.witness, hecke.NoChain) else "refuted_within_bound"
+            folds.append({"time": _frac_str(f.time), "verdict": verdict})
     obj = {"billiard": report.billiard.ok, "dominance": report.dominance,
            "folds": folds, "verified": report.verified,
            "path": _path_json(path)}
@@ -679,8 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON {"breakpoints": [...], "positions": [[...]]} or @file')
     q.add_argument("--shape", required=True)
     q.add_argument("--chamber", choices=("+", "-"), default="-")
-    q.add_argument("--bounds", default="9,6,3",
-                   help="H,L,k_max, at most {},{},{}".format(*HECKE_MAX_BOUNDS))
+    q.add_argument("--words", type=int, default=6,
+                   help=f"longest billiard word L, 0..{HECKE_MAX_WORDS}; each fold's "
+                        f"d*ht(D) may be at most {HECKE_MAX_FOLD}")
     p.set_defaults(fn=_cmd_hecke)
 
     p = sub.add_parser("gm", help="print a divided-power exponential coefficient")

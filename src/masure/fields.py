@@ -616,28 +616,26 @@ def parse_element(cfg: FieldConfig, s: str, bound: int | None = None) -> FieldEl
     """An element in the text syntax above; with a bound, every exponent of t
     resp. the valuation of a p-adic element must have absolute value <= bound."""
     s = s.strip()
-    if isinstance(cfg, PAdicField):
-        m = re.fullmatch(r"(-?\d+)\s*(?:/\s*(-?\d+))?\s*(?:@\s*p=(\d+))?", s)
+    padic = isinstance(cfg, PAdicField)
+    # an optional "@ p=<prime>" (p-adic) or "mod <prime>" (Laurent) suffix
+    suffix = r"@\s*p=" if padic else r"mod\s*"
+    body, prime = re.fullmatch(rf"(.*?)\s*(?:{suffix}(\d+))?", s, re.DOTALL).groups()
+    if prime and int(prime) != cfg.p:
+        raise ParseError(f"prime mismatch: {prime} vs {cfg.p}")
+    if padic:
+        m = re.fullmatch(r"(-?\d+)\s*(?:/\s*(-?\d+))?", body)
         if not m:
             raise ParseError(f"bad p-adic element {s!r}")
-        if m.group(3) and int(m.group(3)) != cfg.p:
-            raise ParseError(f"prime mismatch: {m.group(3)} vs {cfg.p}")
         e = FieldElement(cfg, (int(m.group(1)), int(m.group(2) or 1)))
         if bound is not None and not e.is_zero() and abs(e.v) > bound:
             raise ParseError(f"valuation {e.v} is out of range: at most {bound} in absolute value")
         return e
-    m = re.fullmatch(r"\((.*?)\)\s*/\s*\((.*?)\)\s*(?:mod\s*(\d+))?", s)
+    m = re.fullmatch(r"\((.*?)\)\s*/\s*\((.*?)\)", body)
     if m:
-        if m.group(3) and int(m.group(3)) != cfg.p:
-            raise ParseError(f"prime mismatch: {m.group(3)} vs {cfg.p}")
         num = laurent_from_terms(cfg, parse_laurent_terms(m.group(1), bound))
         den = laurent_from_terms(cfg, parse_laurent_terms(m.group(2), bound))
         return num / den
     # Laurent polynomial shorthand, e.g. "t^-3+t^4", "0", "1+t"
-    m2 = re.fullmatch(r"(.*?)\s*(?:mod\s*(\d+))?", s)
-    body = m2.group(1) if m2 else s
-    if m2 and m2.group(2) and int(m2.group(2)) != cfg.p:
-        raise ParseError(f"prime mismatch: {m2.group(2)} vs {cfg.p}")
     if body.strip() == "0":
         return cfg.zero()
     return laurent_from_terms(cfg, parse_laurent_terms(body, bound))

@@ -6,12 +6,16 @@ of the shape; a fold is verified by exhibiting a chain of reflections
 r_{beta_1}, ..., r_{beta_k} carrying the incoming velocity to the
 outgoing one, where each beta is negative on the reference chamber,
 negative on the velocity it reflects, and takes an integer value on the
-fold point (the fold sits on a wall of each beta).  Verification is a
-bounded search: verdicts record the bounds used.
+fold point (the fold sits on a wall of each beta).  The fold bounds its
+own search: a chain lowers the velocity in the coroot order, so with
+independent coroots only finitely many chains can explain it, and a fold
+no chain explains gets NoChain.  Only a realization with dependent coroots
+falls back to fixed bounds, and a miss there is RefutedWithinBound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +27,7 @@ from .weyl import (
     WeylElement,
     all_elements_up_to_length,
     enumerate_real_roots,
+    positive_root_closure,
     reflect_vector,
 )
 
@@ -139,6 +144,11 @@ class ChainWitness:
 
 
 @dataclass(frozen=True)
+class NoChain:
+    """No chain carries the fold: every chain that could was searched."""
+
+
+@dataclass(frozen=True)
 class RefutedWithinBound:
     height_bound: int
     max_reflections: int
@@ -167,62 +177,135 @@ def _negative_on_chamber(beta: RealRoot, chamber: int) -> bool:
     return beta.root.is_negative() if chamber > 0 else beta.root.is_positive()
 
 
-def admissible_roots(data: KacMoodyData, chamber: int, anchor,
-                     height_bound: int) -> list[RealRoot]:
-    """Real roots of |height| <= bound, negative on the chamber, with an
-    integral value on the anchor; deterministic (height, coords) order."""
-    a = _vec(anchor)
+def _candidates(data: KacMoodyData, chamber: int, anchor: Vec, positive: tuple[RealRoot, ...],
+                coords) -> list[tuple[RealRoot, tuple[int, ...], tuple[int, ...] | None]]:
+    """(beta, its covector, coords(+-beta)) for the signs beta of the
+    positive roots that are negative on the chamber, with an integral value
+    on the anchor; in (height, coords) order."""
     out = []
-    for pos in enumerate_real_roots(data, height_bound).roots:
-        for beta in (pos, pos.negate()):
-            if not _negative_on_chamber(beta, chamber):
-                continue
-            if data.eval_root(beta.root, a).denominator != 1:
-                continue
-            out.append(beta)
-    out.sort(key=lambda r: (abs(r.height()), r.root.coeffs))
+    for pos in positive:
+        beta = pos.negate() if chamber > 0 else pos
+        cov = tuple(int(x) for x in data.root_covector(beta.root))
+        if sum(x * y for x, y in zip(cov, anchor, strict=True)).denominator == 1:
+            out.append((beta, cov, coords(pos)))
+    out.sort(key=lambda c: (abs(c[0].height()), c[0].root.coeffs))
     return out
 
 
-def verify_fold(data: KacMoodyData, anchor, xi_minus, xi_plus,
-                chamber: int, height_bound: int = 9,
-                max_reflections: int = 3) -> ChainWitness | RefutedWithinBound:
-    """Breadth-first search for a chain carrying xi_minus to xi_plus.
+def _fold_box(data: KacMoodyData, xi_minus: Vec, xi_plus: Vec,
+              chamber: int) -> tuple[int, tuple[Fraction, ...]] | None:
+    """(d, D) for data with independent coroots: D = s(xi_minus - xi_plus)
+    in simple-coroot coordinates, s the chamber sign, and d the common
+    denominator of the alpha_j(xi_minus); None when D is off the coroot
+    cone."""
+    sign = 1 if chamber > 0 else -1
+    diff = data.coroot_coordinates(tuple(sign * (a - b) for a, b in zip(xi_minus, xi_plus, strict=True)))
+    if diff is None or any(x < 0 for x in diff):
+        return None
+    return math.lcm(*(data.pair(root, xi_minus).denominator for root in data.simple_roots)), diff
 
-    Shortest chain wins; ties resolve by the (height, coords) candidate
-    order.
+
+def fold_size(data: KacMoodyData, xi_minus, xi_plus, chamber: int) -> int:
+    """d * ht(D) (see _fold_box), the most reflections a chain for the fold
+    can take: verify_fold searches that deep and through the positive roots
+    whose coroot is <= d * D.  0 when D is off the coroot cone, and when the
+    coroots are dependent, where the search has fixed bounds."""
+    box = data.independent_coroots and _fold_box(data, _vec(xi_minus), _vec(xi_plus), chamber)
+    return math.floor(box[0] * sum(box[1])) if box else 0
+
+
+# A realization with dependent simple coroots gives a fold no coroot box:
+# there the search keeps to roots of height <= DEPENDENT_HEIGHT and chains of
+# <= DEPENDENT_REFLECTIONS steps, and a miss is RefutedWithinBound.
+DEPENDENT_HEIGHT, DEPENDENT_REFLECTIONS = 9, 3
+
+
+def verify_fold(data: KacMoodyData, anchor, xi_minus, xi_plus,
+                chamber: int) -> ChainWitness | NoChain | RefutedWithinBound:
+    """The shortest chain carrying xi_minus to xi_plus, or NoChain.
+
+    Each step subtracts c gamma^vee (chamber +) or adds it (chamber -), with
+    gamma^vee a positive coroot and c > 0 a value of a root on a W-image of
+    xi_minus, so c is in (1/d) Z.  With independent coroots the chain writes
+    D = sum c_i gamma_i^vee (see _fold_box): every gamma_i^vee is <= d * D,
+    every state lies between xi_plus and xi_minus, and the chain has at most
+    d * ht(D) steps, so the search is finite and a miss is a proof.  The
+    monotonicity of positive folds: Gaussent-Rousseau, Ann. Inst. Fourier
+    58 (2008); Kapovich-Millson, Groups Geom. Dyn. 2 (2008).  Ties between
+    shortest chains resolve by the (height, coords) candidate order.
     """
     a = _vec(anchor)
     start, goal = _vec(xi_minus), _vec(xi_plus)
     if start == goal:
         return ChainWitness(a, (), (start,))
-    cands = admissible_roots(data, chamber, a, height_bound)
-    frontier: list[tuple[Vec, tuple[RealRoot, ...], tuple[Vec, ...]]] = [
-        (start, (), (start,))
-    ]
-    seen = {start}
-    for _ in range(max_reflections):
+    if not data.independent_coroots:
+        cands = _candidates(data, chamber, a, enumerate_real_roots(data, DEPENDENT_HEIGHT).roots,
+                            lambda pos: None)
+        return (_shortest_chain(a, start, goal, cands, None, DEPENDENT_REFLECTIONS)
+                or RefutedWithinBound(DEPENDENT_HEIGHT, DEPENDENT_REFLECTIONS))
+    box = _fold_box(data, start, goal, chamber)
+    if box is None:
+        return NoChain()
+    d, diff = box
+    cap = tuple(d * x for x in diff)
+    # the positive roots with coroot <= d D: some simple reflection lowers a
+    # non-simple positive coroot to a positive one, whose root is positive,
+    # so each of them closes down to a simple root inside the box
+    positive = positive_root_closure(data, lambda v, coroot: all(
+        c <= b for c, b in zip(data.coroot_coordinates(coroot), cap)))
+    cands = _candidates(data, chamber, a, positive,
+                        lambda pos: tuple(int(x) for x in data.coroot_coordinates(pos.coroot)))
+    return _shortest_chain(a, start, goal, cands, diff, math.floor(d * sum(diff))) or NoChain()
+
+
+def _shortest_chain(a: Vec, start: Vec, goal: Vec, cands: list, rest: Vec | None,
+                    max_steps: int) -> ChainWitness | None:
+    """Breadth-first search, at most max_steps reflections deep, for the
+    first chain from start to goal through cands = (beta, covector, k).
+    With rest the coroot coordinates of s(start - goal), k holds those of
+    the positive coroot -s beta^vee, and a state whose own rest has a
+    negative coordinate is dropped.  Every vector is scaled by the common
+    denominator m, so the search runs on integers."""
+    m = math.lcm(*(x.denominator for x in start + goal + (rest or ())))
+
+    def scaled(v: Vec) -> tuple[int, ...]:
+        return tuple(x.numerator * (m // x.denominator) for x in v)
+
+    s0, g = scaled(start), scaled(goal)
+    frontier = [(s0, rest and scaled(rest), ())]
+    seen = {s0}
+    for _ in range(max_steps):
         nxt = []
-        for cur, roots, vels in frontier:
-            for beta in cands:
-                if data.eval_root(beta.root, cur) >= 0:
+        for cur, r, chain in frontier:
+            for beta, cov, k in cands:
+                c = sum(x * y for x, y in zip(cov, cur))
+                if c >= 0:
                     continue
-                img = tuple(reflect_vector(data, beta, cur))
-                if img == goal:
-                    return ChainWitness(a, roots + (beta,), vels + (img,))
+                r_img = r and tuple(x + c * y for x, y in zip(r, k))
+                if r_img and min(r_img) < 0:
+                    continue
+                img = tuple(x - c * h for x, h in zip(cur, beta.coroot))  # r_beta(cur)
                 if img in seen:
                     continue
+                if img == g:
+                    steps = chain + ((beta, img),)
+                    return ChainWitness(a, tuple(b for b, _ in steps), (start,) + tuple(
+                        tuple(Fraction(x, m) for x in v) for _, v in steps))
                 seen.add(img)
-                nxt.append((img, roots + (beta,), vels + (img,)))
+                nxt.append((img, r_img, chain + ((beta, img),)))
         frontier = nxt
-    return RefutedWithinBound(height_bound, max_reflections)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # dominance
 
 def positively_free_coroots(data: KacMoodyData) -> bool:
-    """No nonzero nonnegative combination of the coroots vanishes."""
+    """No nonzero nonnegative combination of the coroots vanishes: true of
+    independent coroots, which the datum's cached coroot frame tells, and
+    asked of Fourier-Motzkin for dependent ones."""
+    if data.independent_coroots:
+        return True
     ineqs = combination_system(data.simple_coroots, (0,) * data.rank)
     ineqs.append(((Fraction(1),) * data.n, Fraction(1)))
     return not fm_feasible(ineqs)
@@ -253,7 +336,7 @@ def check_dominance(data: KacMoodyData, path: PiecewisePath, chamber_sign: int) 
 class FoldVerdict:
     time: Fraction
     position: Vec
-    witness: ChainWitness | RefutedWithinBound
+    witness: ChainWitness | NoChain | RefutedWithinBound
 
 
 @dataclass(frozen=True)
@@ -271,12 +354,14 @@ class HeckeReport:
 def verify_path(data: KacMoodyData, path: PiecewisePath, shape,
                 chamber: int, height_bound: int = 9,
                 word_bound: int = 6, max_reflections: int = 3) -> HeckeReport:
-    """Full verification: billiard property, a chain per fold, dominance."""
+    """Full verification: billiard property, a chain per fold, dominance.
+    ``height_bound`` and ``max_reflections`` are unused: each fold's search
+    is bounded by the fold itself (see verify_fold)."""
     bil = is_billiard(data, path, shape, word_bound)
     folds = []
     for k in path.fold_times():
         w = verify_fold(data, path.positions[k], path.velocity(k - 1),
-                        path.velocity(k), chamber, height_bound, max_reflections)
+                        path.velocity(k), chamber)
         folds.append(FoldVerdict(path.breakpoints[k], path.positions[k], w))
     dom = check_dominance(data, path, chamber)
     return HeckeReport(bil, tuple(folds), dom)

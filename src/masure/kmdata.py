@@ -211,6 +211,36 @@ class KacMoodyData:
     def eval_root(self, v: RootVector, y_vec: tuple) -> Fraction:
         return self.pair(self.root_covector(v), y_vec)
 
+    # Every fold search and dominance test on one datum asks for the coroot
+    # frame: it is computed once per datum and lives as long as it does.
+
+    @cached_property
+    def _coroot_frame(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
+        """(e, L, N) with integer rows, L H = e 1 and N H = 0, where the
+        columns of H are the simple coroots, read off one rref of [H | 1];
+        None when the coroots are dependent."""
+        n, r = self.n, self.rank
+        m, pivots = rref([[h[k] for h in self.simple_coroots] + [int(k == j) for j in range(r)]
+                          for k in range(r)])
+        if pivots[:n] != list(range(n)):
+            return None
+        e = math.lcm(*(x.denominator for row in m for x in row))
+        return e, *(tuple(tuple(int(x * e) for x in row[n:]) for row in rows)
+                    for rows in (m[:n], m[n:]))
+
+    @property
+    def independent_coroots(self) -> bool:
+        return self._coroot_frame is not None
+
+    def coroot_coordinates(self, y_vec: tuple) -> tuple[Fraction, ...] | None:
+        """The c with y_vec = sum c_i alpha_i^vee, or None when y_vec is off
+        the span of the simple coroots, which must be independent."""
+        e, left, annihilator = self._coroot_frame
+        if any(sum(x * y for x, y in zip(row, y_vec, strict=True)) for row in annihilator):
+            return None
+        return tuple(Fraction(sum(x * y for x, y in zip(row, y_vec, strict=True))) / e
+                     for row in left)
+
 
 def validate_data(matrix, rank_, simple_roots, simple_coroots) -> KacMoodyData:
     a = validate(matrix) if not isinstance(matrix, KacMoodyMatrix) else matrix

@@ -185,35 +185,49 @@ class RootSet:
 
 
 def enumerate_real_roots(data: KacMoodyData, bound: int) -> RootSet:
-    """Breadth-first closure of the simple roots under simple reflections,
-    keeping positive roots of height <= bound.  Every positive real root of
-    height <= bound is reached: any non-simple one is lowered by some r_i.
-    """
+    """The positive real roots of height <= bound: lowering a non-simple
+    positive real root by a simple reflection that lowers its height keeps
+    it positive, so they close down to the simple roots."""
     if bound < 1:
         raise ValueError("height bound must be >= 1")
+    return RootSet(data, bound, positive_root_closure(data, lambda v, coroot: v.height() <= bound))
+
+
+def positive_root_closure(data: KacMoodyData, keep) -> tuple[RealRoot, ...]:
+    """Breadth-first closure of the simple roots under simple reflections,
+    keeping the positive roots v with keep(v, coroot), in (height, coords)
+    order.  Every positive real root that keep accepts is reached when a
+    chain of simple reflections lowers it to a simple root through roots
+    that keep accepts.
+    """
+    a = data.matrix.entries
     found: dict[tuple[int, ...], RealRoot] = {}
     queue: list[RealRoot] = []
     for i in range(data.n):
         rr = simple_real_root(data, i)
-        found[rr.root.coeffs] = rr
-        queue.append(rr)
-    q_mats = [_right_q(data, _identity(data.n), i) for i in range(data.n)]
-    y_mats = [_right_y(data, _identity(data.rank), i) for i in range(data.n)]
+        if keep(rr.root, rr.coroot):
+            found[rr.root.coeffs] = rr
+            queue.append(rr)
     head = 0
     while head < len(queue):
         cur = queue[head]
         head += 1
         for i in range(data.n):
-            coords = _mat_vec(q_mats[i], cur.root.coeffs)
+            # r_i v = v - <v, alpha_i^vee> alpha_i, r_i h = h - alpha_i(h) alpha_i^vee
+            coords = list(cur.root.coeffs)
+            coords[i] -= sum(x * y for x, y in zip(a[i], coords))
+            coords = tuple(coords)
             v = RootVector(coords)
-            if not v.is_positive() or v.height() > bound or coords in found:
+            if coords in found or not v.is_positive():
                 continue
-            coroot = _mat_vec(y_mats[i], cur.coroot)
+            t = sum(x * y for x, y in zip(data.simple_roots[i], cur.coroot))
+            coroot = tuple(x - t * y for x, y in zip(cur.coroot, data.simple_coroots[i]))
+            if not keep(v, coroot):
+                continue
             rr = RealRoot(v, coroot, (i,) + cur.witness_word, cur.witness_index)
             found[coords] = rr
             queue.append(rr)
-    ordered = sorted(found.values(), key=lambda r: (r.height(), r.root.coeffs))
-    return RootSet(data, bound, tuple(ordered))
+    return tuple(sorted(found.values(), key=lambda r: (r.height(), r.root.coeffs)))
 
 
 def find_real_root(data: KacMoodyData, v: RootVector) -> RealRoot | None:

@@ -13,7 +13,8 @@ from masure.cli import (
     CONE_MAX_CAP,
     GEODESIC_MAX_N,
     GM_MAX_N,
-    HECKE_MAX_BOUNDS,
+    HECKE_MAX_FOLD,
+    HECKE_MAX_WORDS,
     PRENILPOTENT_MAX_HEIGHT,
     ROOTS_MAX_HEIGHT,
     TREE_MAX_EXPONENT,
@@ -454,29 +455,36 @@ class TestHeckeCommand:
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "expected 1" in err
 
-    @pytest.mark.parametrize("path, bounds", [
-        (PATH, "9,6"),
-        (PATH, "9,6,x"),
-        ('{"breakpoints": [0, 1]}', "9,6,3"),
-        ('{"positions": [[0], [1]]}', "9,6,3"),
-        ("[1]", "9,6,3"),
-        ('{"breakpoints": ["0", "a"], "positions": [[0], [1]]}', "9,6,3"),
+    @pytest.mark.parametrize("path, words", [
+        (PATH, "6,3"),
+        (PATH, "x"),
+        ('{"breakpoints": [0, 1]}', "6"),
+        ('{"positions": [[0], [1]]}', "6"),
+        ("[1]", "6"),
+        ('{"breakpoints": ["0", "a"], "positions": [[0], [1]]}', "6"),
     ])
-    def test_malformed_path_or_bounds(self, capsys, path, bounds):
+    def test_malformed_path_or_words(self, capsys, path, words):
         assert_usage_error(*run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
-                                "--path", path, "--shape", "2", "--bounds", bounds))
+                                "--path", path, "--shape", "2", "--words", words))
 
-    @pytest.mark.parametrize("bounds", ["9,6,0", "0,6,3", "9,-1,3", "13,6,3", "9,17,3", "9,6,4"])
-    def test_bounds_out_of_range(self, capsys, bounds):
+    @pytest.mark.parametrize("words", ["-1", "17"])
+    def test_words_out_of_range(self, capsys, words):
         code, out, err = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
-                             "--path", self.PATH, "--shape", "2", "--bounds=" + bounds)
+                             "--path", self.PATH, "--shape", "2", "--words=" + words)
         assert_usage_error(code, out, err)
-        assert "1 <= H <= 12, 0 <= L <= 16 and 1 <= k_max <= 3" in err
+        assert "--words must be in 0..16" in err
 
-    def test_smallest_bounds_accepted(self, capsys):
+    def test_smallest_words_accepted(self, capsys):
         code, out, _ = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
-                           "--path", self.PATH, "--shape", "2", "--bounds", "1,0,1")
+                           "--path", self.PATH, "--shape", "2", "--words", "0")
         assert code == 0 and json.loads(out)["verified"] is True
+
+    def test_no_chain(self, capsys):
+        # the fold bends the wrong way for +C_f: no chain explains it
+        code, out, _ = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
+                           "--path", self.PATH, "--shape", "2", "--chamber", "+")
+        assert code == 1
+        assert json.loads(out)["folds"] == [{"time": "1/4", "verdict": "no_chain"}]
 
     @pytest.mark.parametrize("chamber", ["bogus", "plus"])
     def test_unknown_chamber(self, capsys, chamber):
@@ -641,8 +649,9 @@ def test_ball_of_radius_zero_lists_no_neighbors(capsys):
 
 
 class TestSearchBudgets:
-    """A cone cap, a prenilpotent root height and hecke bounds are taken up
-    to their limits; one more is a one-line usage error."""
+    """A cone cap, a prenilpotent root height, a hecke word length and a
+    hecke fold are taken up to their limits; one more is a one-line usage
+    error."""
 
     AFFINE = '{"matrix": [[2,-2],[-2,2]]}'
 
@@ -672,11 +681,27 @@ class TestSearchBudgets:
             assert_usage_error(code, out, err)
             assert "300" in err
 
-    def test_hecke_bounds(self, capsys):
-        bounds = ",".join(map(str, HECKE_MAX_BOUNDS))
+    def test_hecke_words(self, capsys):
         code, out, _ = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
-                           "--path", TestHeckeCommand.PATH, "--shape", "2", "--bounds", bounds)
+                           "--path", TestHeckeCommand.PATH, "--shape", "2",
+                           "--words", str(HECKE_MAX_WORDS))
         assert code == 0 and json.loads(out)["verified"] is True
+
+    def test_hecke_fold(self, capsys):
+        # velocities -v -> v through the wall x = 0: d = 1 and D = 2v
+        def fold(v):
+            x = Fraction(v, 2)
+            path = json.dumps({"breakpoints": ["0", "1/2", "1"],
+                               "positions": [[str(x)], ["0"], [str(x)]]})
+            return run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
+                       "--path", path, "--shape", str(v))
+
+        assert HECKE_MAX_FOLD == 64
+        code, out, _ = fold(Fraction(32))
+        assert code == 0 and json.loads(out)["verified"] is True
+        code, out, err = fold(Fraction(65, 2))
+        assert_usage_error(code, out, err)
+        assert "d*ht(D) = 65, more than the 64 searched" in err
 
 
 class TestSizeBudgets:

@@ -11,8 +11,9 @@ one of its choices), valid and invalid, with exponents, positions,
 coordinates, heights, indices and moduli up to 10^9 and words around the
 longest one weyl takes.  Some argv are ones argparse itself rejects: a
 required option left out, a value outside the choices, or an integer option
-given a non-integer.  hecke is left out, since a fold search at its largest
-bounds takes seconds, and so is selftest, which runs the acceptance suite.
+given a non-integer.  hecke is left out, since the time a fold search takes
+at its budget grows steeply with the rank (seconds at rank 10; see
+HECKE_MAX_FOLD), and so is selftest, which runs the acceptance suite.
 """
 
 import argparse

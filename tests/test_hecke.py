@@ -1,16 +1,22 @@
 """Hecke path verification: billiard property, fold chains, dominance."""
 
+import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masure.fields import FieldConfig
 from masure.hecke import (
     ChainWitness,
     HeckeError,
+    NoChain,
     PiecewisePath,
     RefutedWithinBound,
     check_dominance,
+    fold_size,
     is_billiard,
     path_from_tree,
     positively_free_coroots,
@@ -19,13 +25,26 @@ from masure.hecke import (
     verify_fold,
     verify_path,
 )
-from masure.kmdata import affine_sl2_data, finite_a1_data, finite_a2_data, validate_data
+from masure.kmdata import (
+    affine_sl2_data,
+    finite_a1_data,
+    finite_a2_data,
+    minimal_realization,
+    rank2_data,
+    validate,
+    validate_data,
+)
 from masure.tree import make_point, retract_segment
+from masure.weyl import enumerate_real_roots, weyl_element
 
 F2 = FieldConfig.laurent(2)
 A1 = finite_a1_data()
 AFF = affine_sl2_data()
 A2 = finite_a2_data()
+AFF_MIN = minimal_realization(validate([[2, -2], [-2, 2]]))
+AFF_A2 = minimal_realization(validate([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
+# the coroots (1, 0) and (-1, 0) are dependent: no coroot coordinates
+NON_COFREE = validate_data([[2, -2], [-2, 2]], 2, [(2, 0), (-2, 1)], [(1, 0), (-1, 0)])
 
 
 def t(k):
@@ -118,7 +137,7 @@ class TestVerifyFold:
     def test_non_integral_anchor_refuted(self):
         out = verify_fold(A1, (Fraction(7, 3),), (Fraction(2),), (Fraction(-2),),
                           standard_chamber(A1, +1))
-        assert isinstance(out, RefutedWithinBound)
+        assert out == NoChain()
 
     def test_minus_chamber_direction(self):
         out = verify_fold(A1, (Fraction(3),), (Fraction(-2),), (Fraction(2),),
@@ -130,7 +149,8 @@ class TestVerifyFold:
         # with respect to +C_f a fold cannot raise the velocity
         out = verify_fold(A1, (Fraction(3),), (Fraction(-2),), (Fraction(2),),
                           standard_chamber(A1, +1))
-        assert isinstance(out, RefutedWithinBound)
+        assert out == NoChain()
+        assert fold_size(A1, (Fraction(-2),), (Fraction(2),), standard_chamber(A1, +1)) == 0
 
     def test_affine_fold(self):
         # reflect d-direction velocity by the finite simple root
@@ -140,9 +160,31 @@ class TestVerifyFold:
         beta = simple_real_root(AFF, 1).negate()
         img = reflect_vector(AFF, beta, xi)
         out = verify_fold(AFF, (Fraction(0),) * 3, xi, tuple(img),
-                          standard_chamber(AFF, +1), height_bound=5)
+                          standard_chamber(AFF, +1))
         assert isinstance(out, ChainWitness)
         assert replay_chain(AFF, standard_chamber(AFF, +1), out)
+
+    @pytest.mark.parametrize("data, xi_minus, xi_plus, length, size", [
+        # roots of height 9 and 19: past the old default height bound 9
+        (AFF_MIN, (1, 0, 0), (-19, -20, 0), 2, 40),
+        # one root of height 10
+        (AFF_A2, (3, 1, -2, -2), (-1, -2, -5, -2), 1, 10),
+    ], ids=["affine_A1", "affine_A2"])
+    def test_chains_past_the_old_height_bound(self, data, xi_minus, xi_plus, length, size):
+        chamber = standard_chamber(data, +1)
+        assert fold_size(data, xi_minus, xi_plus, chamber) == size
+        out = verify_fold(data, (0,) * data.rank, xi_minus, xi_plus, chamber)
+        assert isinstance(out, ChainWitness) and len(out.roots) == length
+        assert max(abs(r.height()) for r in out.roots) > 9
+        assert replay_chain(data, chamber, out)
+
+    def test_dependent_coroots_keep_fixed_bounds(self):
+        # r_{alpha_1} carries (1, 0) to (-1, 0); nothing reaches (5, 7)
+        chamber = standard_chamber(NON_COFREE, -1)
+        out = verify_fold(NON_COFREE, (0, 0), (1, 0), (-1, 0), chamber)
+        assert isinstance(out, ChainWitness) and replay_chain(NON_COFREE, chamber, out)
+        assert verify_fold(NON_COFREE, (0, 0), (1, 0), (5, 7), chamber) == RefutedWithinBound(9, 3)
+        assert fold_size(NON_COFREE, (1, 0), (-1, 0), chamber) == 0
 
     def test_replay_rejects_tampering(self):
         out = verify_fold(A1, (Fraction(7),), (Fraction(2),), (Fraction(-2),),
@@ -248,7 +290,7 @@ class TestVerifyPath:
         # the same fold bends the wrong way for the fundamental chamber
         plus = verify_path(AFF, path, dnu, standard_chamber(AFF, +1))
         assert plus.billiard.ok and not plus.dominance and not plus.verified
-        assert isinstance(plus.folds[0].witness, RefutedWithinBound)
+        assert plus.folds[0].witness == NoChain()
 
     def test_tree_generated(self):
         path = tree_fold_path()
@@ -270,3 +312,75 @@ class TestVerifyPath:
                              ((Fraction(19, 4),), (Fraction(15, 4),), (Fraction(19, 4),)))
         rep = verify_path(A1, path, (2,), standard_chamber(A1, -1))
         assert not rep.verified
+
+
+# ---------------------------------------------------------------------------
+# cross-check against the bounded search the fold search replaced: roots of
+# height <= 12 and chains of <= 3 reflections, breadth first
+
+CROSS_DATA = {
+    "A2": A2,
+    "affine_A1": AFF_MIN,
+    "rank2_1_5": rank2_data(1, 5),
+    "affine_A2": AFF_A2,
+}
+
+
+@cache
+def _bounded_candidates(name: str, chamber: int):
+    data = CROSS_DATA[name]
+    out = []
+    for pos in enumerate_real_roots(data, 12).roots:
+        beta = pos.negate() if chamber > 0 else pos
+        out.append((beta, tuple(int(x) for x in data.root_covector(beta.root))))
+    out.sort(key=lambda bc: (abs(bc[0].height()), bc[0].root.coeffs))
+    return out
+
+
+def _bounded_chain(name, anchor, start, goal, chamber):
+    """The length of the first chain the bounded search finds, or None;
+    on vectors scaled to integers."""
+    if start == goal:
+        return 0
+    m = math.lcm(*(x.denominator for x in start + goal + anchor))
+    start, goal, anchor = ([int(x * m) for x in v] for v in (start, goal, anchor))
+    cands = [(b, cov) for b, cov in _bounded_candidates(name, chamber)
+             if sum(x * y for x, y in zip(cov, anchor)) % m == 0]
+    frontier, seen = [tuple(start)], {tuple(start)}
+    for length in range(1, 4):
+        nxt = []
+        for cur in frontier:
+            for beta, cov in cands:
+                c = sum(x * y for x, y in zip(cov, cur))
+                if c >= 0:
+                    continue
+                img = tuple(x - c * h for x, h in zip(cur, beta.coroot))
+                if img == tuple(goal):
+                    return length
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return None
+
+
+halves = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CROSS_DATA)), chamber=st.sampled_from([1, -1]),
+       data_=st.data())
+def test_fold_search_finds_every_bounded_chain(name, chamber, data_):
+    # in-orbit pairs: xi_plus = w xi_minus for a word of length <= 4
+    data = CROSS_DATA[name]
+    xi = tuple(data_.draw(st.lists(halves, min_size=data.rank, max_size=data.rank)))
+    word = data_.draw(st.lists(st.integers(0, data.n - 1), min_size=1, max_size=4))
+    anchor = tuple(data_.draw(st.lists(halves, min_size=data.rank, max_size=data.rank)))
+    goal = weyl_element(data, word).act_y(xi)
+    ref = _bounded_chain(name, anchor, xi, goal, chamber)
+    out = verify_fold(data, anchor, xi, goal, chamber)
+    if isinstance(out, ChainWitness):
+        assert replay_chain(data, chamber, out)
+        assert ref is None or len(out.roots) <= ref
+    else:
+        assert out == NoChain() and ref is None

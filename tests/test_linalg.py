@@ -1,6 +1,7 @@
 """Exact linear algebra: RREF, rank, kernels and Fourier-Motzkin."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from masure.linalg import combination_system, fm_feasible, kernel_basis, rank, r
 
 try:  # imported here, not inside the properties, whose examples have a 200 ms deadline
     import sympy
-    from sympy.solvers.simplex import InfeasibleLPError, lpmin
 except ImportError:
     sympy = None
 
@@ -95,23 +95,46 @@ def test_contradiction_is_infeasible(data):
     assert not fm_feasible(ineqs)
 
 
+def sympy_feasible(ineqs) -> bool:
+    """Feasibility of A x >= b by sympy's exact matrices: a nonempty polyhedron has a
+    minimal face {A_S x = b_S} cut out by rank(A) independent rows, and every point of
+    that face satisfies the whole system. So try a particular solution of each such
+    subsystem. (sympy's simplex, ``lpmin``, is not used as the reference: on degenerate
+    systems such as the one in ``test_degenerate_chain_is_infeasible`` it returns
+    points that violate the constraints.)"""
+    a = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in coeffs]
+                      for coeffs, _ in ineqs])
+    b = sympy.Matrix([sympy.Rational(k.numerator, k.denominator) for _, k in ineqs])
+    r = a.rank()
+    if r == 0:
+        return all(k <= 0 for k in b)
+    for rows in combinations(range(a.rows), r):
+        sub = a.extract(list(rows), list(range(a.cols)))
+        if sub.rank() < r:
+            continue
+        sol, params = sub.gauss_jordan_solve(b.extract(list(rows), [0]))
+        x = sol.subs({p: 0 for p in params})
+        if all(lhs >= k for lhs, k in zip(a * x, b)):
+            return True
+    return False
+
+
+def test_degenerate_chain_is_infeasible():
+    # x2 <= 0 and x1 <= x2 force x1 + x2 <= 0, against x1 + x2 >= 1
+    ineqs = [((0, 0, 0), 0), ((0, 0, -1), 0), ((0, -1, 1), 0), ((1, 1, 0), 1), ((0, 1, 1), 1)]
+    ineqs = [(tuple(Fraction(c) for c in coeffs), Fraction(k)) for coeffs, k in ineqs]
+    assert not fm_feasible(ineqs)
+    if sympy is not None:
+        assert not sympy_feasible(ineqs)
+
+
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 @settings(deadline=None, max_examples=50)
 @given(st.data())
 def test_feasibility_matches_sympy_lp(data):
     n = data.draw(st.integers(1, 3))
     ineqs = data.draw(st.lists(st.tuples(vectors(n), fracs), min_size=1, max_size=6))
-    xs = sympy.symbols(f"x0:{n}")
-    constraints = [sum((sympy.Rational(c.numerator, c.denominator) * x
-                        for c, x in zip(coeffs, xs)), start=sympy.Integer(0))
-                   >= sympy.Rational(const.numerator, const.denominator)
-                   for coeffs, const in ineqs]
-    try:
-        lpmin(0, constraints)
-    except InfeasibleLPError:
-        assert not fm_feasible(ineqs)
-    else:
-        assert fm_feasible(ineqs)
+    assert fm_feasible(ineqs) == sympy_feasible(ineqs)
 
 
 def test_combination_system_rejects_dimension_mismatch():
