@@ -437,11 +437,6 @@ def _parse_path(text: str, dim: int) -> hecke.PiecewisePath:
     )
 
 
-# The longest words hecke verify tries for a velocity whose dominant image
-# is not certified: it builds every Weyl element of length <= L, 1069 of
-# them at 16 on the rank-3 hyperbolic [[2,-2,0],[-2,2,-1],[0,-1,2]].
-HECKE_MAX_WORDS = 16
-
 # The largest fold hecke verify searches, as d * ht(D) (hecke.fold_size),
 # the most reflections a chain for the fold can take.  The search grows with
 # it and with the rank.  From a start with alpha_j = 1 for every j, down by a
@@ -461,15 +456,13 @@ def _cmd_hecke(args) -> int:
     data = _data_arg(args.data)
     path = _parse_path(args.path, data.rank)
     shape = _vec_arg(args.shape, data.rank)
-    if not 0 <= args.words <= HECKE_MAX_WORDS:
-        raise UsageError(f"--words must be in 0..{HECKE_MAX_WORDS}, got {args.words}")
     chamber = hecke.standard_chamber(data, 1 if args.chamber == "+" else -1)
     for k in path.fold_times():
         size = hecke.fold_size(data, path.velocity(k - 1), path.velocity(k), chamber)
         if size > HECKE_MAX_FOLD:
             raise UsageError(f"the fold at time {_frac_str(path.breakpoints[k])} has d*ht(D) = "
                              f"{size}, more than the {HECKE_MAX_FOLD} searched")
-    report = hecke.verify_path(data, path, shape, chamber, word_bound=args.words)
+    report = hecke.verify_path(data, path, shape, chamber)
     folds = []
     for f in report.folds:
         if isinstance(f.witness, hecke.ChainWitness):
@@ -679,10 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--path", required=True,
                    help='JSON {"breakpoints": [...], "positions": [[...]]} or @file')
     q.add_argument("--shape", required=True)
-    q.add_argument("--chamber", choices=("+", "-"), default="-")
-    q.add_argument("--words", type=int, default=6,
-                   help=f"longest billiard word L, 0..{HECKE_MAX_WORDS}; each fold's "
-                        f"d*ht(D) may be at most {HECKE_MAX_FOLD}")
+    q.add_argument("--chamber", choices=("+", "-"), default="-",
+                   help=f"sign of the reference chamber; each fold's d*ht(D) may be at "
+                        f"most {HECKE_MAX_FOLD}")
     p.set_defaults(fn=_cmd_hecke)
 
     p = sub.add_parser("gm", help="print a divided-power exponential coefficient")

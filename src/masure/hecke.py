@@ -2,7 +2,8 @@
 datum with integral value group.
 
 A path is billiard when every one-sided velocity lies in the Weyl orbit
-of the shape; a fold is verified by exhibiting a chain of reflections
+of the shape (dominant images on the Tits cone X and on -X, a bounded word
+search elsewhere); a fold is verified by exhibiting a chain of reflections
 r_{beta_1}, ..., r_{beta_k} carrying the incoming velocity to the
 outgoing one, where each beta is negative on the reference chamber,
 negative on the velocity it reflects, and takes an integer value on the
@@ -18,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .cone import InCone, normalize_to_dominant
+from .cone import InCone, NotInCone, normalize_to_dominant
 from .kmdata import KacMoodyData, finite_a1_data
 from .linalg import combination_system, fm_feasible
 from .weyl import (
@@ -104,33 +106,37 @@ class BilliardReport:
     witnesses: tuple[WeylElement | None, ...]  # per piece; None when not found
 
 
-def _orbit_witness(data: KacMoodyData, lam: Vec, target: Vec, cap: int,
-                   word_bound: int) -> WeylElement | None:
-    """w with w.lam = target, via dominant representatives when certified,
-    else a bounded direct search."""
-    cl = normalize_to_dominant(data, lam, cap)
-    ct = normalize_to_dominant(data, target, cap)
-    if isinstance(cl, InCone) and isinstance(ct, InCone):
-        if cl.image != ct.image:
+# Where neither X nor -X decides, is_billiard tries the words of length
+# <= BILLIARD_WORDS, after greedy runs of <= BILLIARD_CAP reflections.
+BILLIARD_WORDS = 6
+BILLIARD_CAP = 4 * (BILLIARD_WORDS + 1) + 40
+
+
+def _orbit_witness(data: KacMoodyData, lam: Vec, target: Vec, dominant) -> WeylElement | None:
+    """w with w.lam = target, or None.  X is W-stable with one dominant
+    image per orbit (Kac, Prop. 3.12): for a sign s with s lam and s target
+    in X the images decide, and with one in X and the other certified
+    outside, target is off the orbit.  Otherwise a bounded word search."""
+    for sign in (1, -1):
+        cl, ct = (dominant(tuple(sign * x for x in v)) for v in (lam, target))
+        if isinstance(cl, InCone) and isinstance(ct, InCone):
+            if cl.image != ct.image:
+                return None
+            w = ct.w.inverse() * cl.w
+            return w if w.act_y(lam) == target else None
+        if {type(cl), type(ct)} == {InCone, NotInCone}:
             return None
-        w = ct.w.inverse() * cl.w
-        return w if w.act_y(lam) == target else None
-    for w in all_elements_up_to_length(data, word_bound):
-        if w.act_y(lam) == target:
-            return w
-    return None
+    return next((w for w in all_elements_up_to_length(data, BILLIARD_WORDS)
+                 if w.act_y(lam) == target), None)
 
 
-def is_billiard(data: KacMoodyData, path: PiecewisePath, shape,
-                word_bound: int = 6) -> BilliardReport:
+def is_billiard(data: KacMoodyData, path: PiecewisePath, shape) -> BilliardReport:
     lam = _vec(shape)
     if all(x == 0 for x in lam):
         raise HeckeError("shape must be nonzero")
-    cap = 4 * (word_bound + 1) + 40
-    wits = []
-    for v in path.velocities():
-        wits.append(_orbit_witness(data, lam, v, cap, word_bound))
-    return BilliardReport(all(w is not None for w in wits), tuple(wits))
+    dominant = cache(lambda v: normalize_to_dominant(data, v, BILLIARD_CAP))
+    wits = tuple(_orbit_witness(data, lam, v, dominant) for v in path.velocities())
+    return BilliardReport(all(w is not None for w in wits), wits)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +198,13 @@ def _candidates(data: KacMoodyData, chamber: int, anchor: Vec, positive: tuple[R
     return out
 
 
+def _cone_coordinates(data: KacMoodyData, y: Vec) -> tuple[Fraction, ...] | None:
+    """The coordinates of y in the independent simple coroots when they are
+    all >= 0, else None (y off the coroot cone)."""
+    c = data.coroot_coordinates(y)
+    return c if c is not None and all(x >= 0 for x in c) else None
+
+
 def _fold_box(data: KacMoodyData, xi_minus: Vec, xi_plus: Vec,
               chamber: int) -> tuple[int, tuple[Fraction, ...]] | None:
     """(d, D) for data with independent coroots: D = s(xi_minus - xi_plus)
@@ -199,8 +212,8 @@ def _fold_box(data: KacMoodyData, xi_minus: Vec, xi_plus: Vec,
     denominator of the alpha_j(xi_minus); None when D is off the coroot
     cone."""
     sign = 1 if chamber > 0 else -1
-    diff = data.coroot_coordinates(tuple(sign * (a - b) for a, b in zip(xi_minus, xi_plus, strict=True)))
-    if diff is None or any(x < 0 for x in diff):
+    diff = _cone_coordinates(data, tuple(sign * (a - b) for a, b in zip(xi_minus, xi_plus, strict=True)))
+    if diff is None:
         return None
     return math.lcm(*(data.pair(root, xi_minus).denominator for root in data.simple_roots)), diff
 
@@ -314,19 +327,18 @@ def positively_free_coroots(data: KacMoodyData) -> bool:
 def check_dominance(data: KacMoodyData, path: PiecewisePath, chamber_sign: int) -> bool:
     """One-sided velocities are monotone for the coroot-cone order:
     decreasing for the fundamental chamber, increasing for its opposite;
-    plus the endpoint comparison with the displacement."""
+    plus the endpoint comparison with the displacement.  Independent coroots
+    read the order off their coordinates; dependent ones ask Fourier-Motzkin."""
     vels = path.velocities()
     sign = -1 if chamber_sign < 0 else 1
     for u, w in [*zip(vels, vels[1:]), (vels[0], path.displacement())]:
         diff = tuple(sign * (a - b) for a, b in zip(u, w, strict=True))
-        if not fm_feasible(combination_system(data.simple_coroots, diff)):
+        if not (_cone_coordinates(data, diff) is not None if data.independent_coroots
+                else fm_feasible(combination_system(data.simple_coroots, diff))):
             return False
-    # diff is now the endpoint comparison
-    is_segment = len(path.fold_times()) == 0
-    if not is_segment and positively_free_coroots(data):
-        if all(x == 0 for x in diff):
-            return False
-    return True
+    # diff is now the endpoint comparison, which a path with a fold must
+    # make strict when the coroots are positively free
+    return not (path.fold_times() and positively_free_coroots(data) and not any(diff))
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +367,9 @@ def verify_path(data: KacMoodyData, path: PiecewisePath, shape,
                 chamber: int, height_bound: int = 9,
                 word_bound: int = 6, max_reflections: int = 3) -> HeckeReport:
     """Full verification: billiard property, a chain per fold, dominance.
-    ``height_bound`` and ``max_reflections`` are unused: each fold's search
-    is bounded by the fold itself (see verify_fold)."""
-    bil = is_billiard(data, path, shape, word_bound)
+    ``height_bound``, ``word_bound`` and ``max_reflections`` are unused: the
+    fold and the Tits cone bound each search (see verify_fold, is_billiard)."""
+    bil = is_billiard(data, path, shape)
     folds = []
     for k in path.fold_times():
         w = verify_fold(data, path.positions[k], path.velocity(k - 1),

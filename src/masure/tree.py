@@ -333,20 +333,14 @@ def neighbors(v: TreePoint) -> list[TreePoint]:
 
 
 def ball(center: TreePoint, radius: int) -> list[TreePoint]:
-    """Vertices at tree distance <= radius, BFS order (deterministic)."""
+    """Vertices at tree distance <= radius, in BFS order: the next layer is
+    each vertex's neighbors but the one nearer the center it came from."""
     _require_vertex(center)
-    seen = {center}
-    layer = [center]
+    layer = [(center, None)]
     out = [center]
     for _ in range(radius):
-        nxt = []
-        for v in layer:
-            for w in neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    out.append(w)
-        layer = nxt
+        layer = [(w, v) for v, came_from in layer for w in neighbors(v) if w != came_from]
+        out += [w for w, _ in layer]
     return out
 
 

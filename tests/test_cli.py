@@ -14,7 +14,6 @@ from masure.cli import (
     GEODESIC_MAX_N,
     GM_MAX_N,
     HECKE_MAX_FOLD,
-    HECKE_MAX_WORDS,
     PRENILPOTENT_MAX_HEIGHT,
     ROOTS_MAX_HEIGHT,
     TREE_MAX_EXPONENT,
@@ -455,29 +454,23 @@ class TestHeckeCommand:
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "expected 1" in err
 
-    @pytest.mark.parametrize("path, words", [
-        (PATH, "6,3"),
-        (PATH, "x"),
-        ('{"breakpoints": [0, 1]}', "6"),
-        ('{"positions": [[0], [1]]}', "6"),
-        ("[1]", "6"),
-        ('{"breakpoints": ["0", "a"], "positions": [[0], [1]]}', "6"),
+    @pytest.mark.parametrize("path", [
+        '{"breakpoints": [0, 1]}',
+        '{"positions": [[0], [1]]}',
+        "[1]",
+        '{"breakpoints": ["0", "a"], "positions": [[0], [1]]}',
     ])
-    def test_malformed_path_or_words(self, capsys, path, words):
+    def test_malformed_path(self, capsys, path):
         assert_usage_error(*run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
-                                "--path", path, "--shape", "2", "--words", words))
+                                "--path", path, "--shape", "2"))
 
-    @pytest.mark.parametrize("words", ["-1", "17"])
-    def test_words_out_of_range(self, capsys, words):
+    @pytest.mark.parametrize("words", ["0", "6", "17"])
+    def test_words_is_unknown(self, capsys, words):
+        # the billiard test bounds its own word search: no option sets it
         code, out, err = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
-                             "--path", self.PATH, "--shape", "2", "--words=" + words)
+                             "--path", self.PATH, "--shape", "2", "--words", words)
         assert_usage_error(code, out, err)
-        assert "--words must be in 0..16" in err
-
-    def test_smallest_words_accepted(self, capsys):
-        code, out, _ = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
-                           "--path", self.PATH, "--shape", "2", "--words", "0")
-        assert code == 0 and json.loads(out)["verified"] is True
+        assert "unrecognized arguments: --words" in err
 
     def test_no_chain(self, capsys):
         # the fold bends the wrong way for +C_f: no chain explains it
@@ -649,9 +642,9 @@ def test_ball_of_radius_zero_lists_no_neighbors(capsys):
 
 
 class TestSearchBudgets:
-    """A cone cap, a prenilpotent root height, a hecke word length and a
-    hecke fold are taken up to their limits; one more is a one-line usage
-    error."""
+    """A cone cap, a prenilpotent root height and a hecke fold are taken up
+    to their limits; one more is a one-line usage error.  The hecke billiard
+    search bounds itself."""
 
     AFFINE = '{"matrix": [[2,-2],[-2,2]]}'
 
@@ -681,11 +674,18 @@ class TestSearchBudgets:
             assert_usage_error(code, out, err)
             assert "300" in err
 
-    def test_hecke_words(self, capsys):
-        code, out, _ = run(capsys, "hecke", "verify", "--data", '{"matrix": [[2]]}',
-                           "--path", TestHeckeCommand.PATH, "--shape", "2",
-                           "--words", str(HECKE_MAX_WORDS))
-        assert code == 0 and json.loads(out)["verified"] is True
+    @pytest.mark.parametrize("shape", ["-1,-1,-1,-1", "1,0,0,0"])
+    def test_hecke_words(self, capsys, shape):
+        # a velocity outside X and -X: against a shape in -X the certificates
+        # decide it, and against one outside both the words of length <= 6
+        # are tried, 1457 of them
+        data = '{"matrix": [[2,-2,-2,-2],[-2,2,-2,-2],[-2,-2,2,-2],[-2,-2,-2,2]]}'
+        path = '{"breakpoints": [0, 1], "positions": [[0,0,0,0],[1,-1,0,0]]}'
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "hecke", "verify", "--data", data, "--path", path,
+                           f"--shape={shape}")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and json.loads(out)["billiard"] is False
 
     def test_hecke_fold(self, capsys):
         # velocities -v -> v through the wall x = 0: d = 1 and D = 2v

@@ -1,5 +1,6 @@
 """Hecke path verification: billiard property, fold chains, dominance."""
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cache
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masure import hecke
 from masure.fields import FieldConfig
 from masure.hecke import (
     ChainWitness,
@@ -34,6 +36,7 @@ from masure.kmdata import (
     validate,
     validate_data,
 )
+from masure.linalg import combination_system, fm_feasible
 from masure.tree import make_point, retract_segment
 from masure.weyl import enumerate_real_roots, weyl_element
 
@@ -116,6 +119,32 @@ class TestBilliard:
         nu = (Fraction(1), Fraction(0), Fraction(1))
         rep = is_billiard(AFF, straight((Fraction(0),) * 3, nu), nu)
         assert rep.ok
+
+    @pytest.mark.parametrize("word", [(0, 1, 0, 1, 0, 1, 0), (1, 0, 1, 0, 1, 0, 1, 0, 1)])
+    def test_minus_tits_cone(self, word):
+        # the antidominant lam lies in -X: the dominant images of -lam and
+        # -w lam decide w lam, past the longest words tried
+        lam = (-4, -3, -4)
+        xi = weyl_element(AFF_MIN, word).act_y(lam)
+        rep = is_billiard(AFF_MIN, straight((Fraction(0),) * 3, xi), lam)
+        assert rep.ok and rep.witnesses[0].act_y(lam) == xi
+
+    def test_certified_outside_is_not_searched(self, monkeypatch):
+        # lam in X, xi certified outside X: no W-image of lam is xi
+        def no_search(*args):
+            raise AssertionError("word search")
+
+        monkeypatch.setattr(hecke, "all_elements_up_to_length", no_search)
+        rep = is_billiard(AFF_MIN, straight((Fraction(0),) * 3, (0, 0, -1)), (0, 0, 1))
+        assert not rep.ok and rep.witnesses == (None,)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a level-0 shape lies outside "
+                                           "X and -X, where only words of length <= 6 "
+                                           "are tried")
+    def test_level_zero_shape(self):
+        lam = (1, 0, 0)
+        xi = weyl_element(AFF_MIN, (0, 1, 0, 1, 0, 1, 0)).act_y(lam)
+        assert is_billiard(AFF_MIN, straight((Fraction(0),) * 3, xi), lam).ok
 
 
 class TestVerifyFold:
@@ -240,6 +269,22 @@ class TestDominance:
             # velocities (2, 1) -> (-2, 1) differ along the line, (2, 1) -> (2, -1) across it
             assert check_dominance(data, along, sign)
             assert not check_dominance(data, across, sign)
+
+    @pytest.mark.parametrize("data", [A2, AFF_MIN, AFF_A2, rank2_data(1, 5)])
+    def test_coroot_coordinates_agree_with_fourier_motzkin(self, data):
+        # independent coroots: the order is read off the coroot coordinates
+        zero = (Fraction(0),) * data.rank
+        mid = tuple(Fraction(1, k + 2) for k in range(data.rank))
+        for d in itertools.product((-1, 0, 1), repeat=data.rank):
+            if not any(d):
+                continue
+            # velocities 2 mid, then 2 mid - d
+            path = PiecewisePath((Fraction(0), Fraction(1, 2), Fraction(1)),
+                                 (zero, mid, tuple(2 * x - Fraction(y, 2) for x, y in zip(mid, d))))
+            for sign in (1, -1):
+                ref = fm_feasible(combination_system(data.simple_coroots,
+                                                     tuple(sign * x for x in d)))
+                assert check_dominance(data, path, sign) == ref
 
     def test_coroot_cone_dimension_mismatch(self):
         # rank-1 velocities against the rank-2 coroots of A2
@@ -384,3 +429,27 @@ def test_fold_search_finds_every_bounded_chain(name, chamber, data_):
         assert ref is None or len(out.roots) <= ref
     else:
         assert out == NoChain() and ref is None
+
+
+def _orbit_within(data, lam, max_len):
+    """{w lam : l(w) <= max_len}, by simple reflections v - alpha_i(v) alpha_i^vee."""
+    orbit = {lam}
+    for _ in range(max_len):
+        orbit |= {tuple(x - data.pair(root, v) * c for x, c in zip(v, coroot))
+                  for v in orbit for root, coroot in zip(data.simple_roots, data.simple_coroots)}
+    return orbit
+
+
+def test_billiard_against_words_of_length_9():
+    # on affine A1, lam of nonzero level lies in X or -X, and every w lam with
+    # l(w) <= 9 is billiard; at level 0 those with l(w) <= 6 are.  Every True
+    # replays, and -lam, of the opposite level, is off the orbit.
+    zero = (Fraction(0),) * 3
+    for lam in [*itertools.product((0, 1), (0, 1), (-1, 1)), (1, 0, 0), (0, -1, 0)]:
+        level = sum(AFF_MIN.pair(root, lam) for root in AFF_MIN.simple_roots)
+        reached = _orbit_within(AFF_MIN, tuple(map(Fraction, lam)), 9 if level else 6)
+        for xi in reached:
+            rep = is_billiard(AFF_MIN, straight(zero, xi), lam)
+            assert rep.ok and rep.witnesses[0].act_y(lam) == xi
+        if level:
+            assert not is_billiard(AFF_MIN, straight(zero, tuple(-x for x in lam)), lam).ok
