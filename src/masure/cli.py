@@ -48,10 +48,25 @@ class UsageError(ValueError):
 
 
 def _json_arg(text: str, option: str):
+    text = _load_arg(text)
     try:
-        return json.loads(_load_arg(text))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer too long or nesting too deep
         raise UsageError(f"{option} is not JSON: {exc}") from None
+
+
+def _bounded(lo: int, hi: int | None = None):
+    """An argparse type: an integer in lo..hi, or at least lo when hi is None.
+    It carries lo and hi; it is named int, so that argparse reports a
+    non-integer as an invalid int value."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo or hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(f"must be in {lo}..{'' if hi is None else hi}, "
+                                             f"got {n}")
+        return n
+    parse.__name__, parse.lo, parse.hi = "int", lo, hi
+    return parse
 
 
 def _integer(x, option: str) -> int:
@@ -73,6 +88,22 @@ def _int_rows(x, option: str) -> list[list[int]]:
     return [[_integer(v, option) for v in row] for row in x]
 
 
+# The most indices of a --matrix or --data matrix.  On random dense GCMs
+# (half the off-diagonal pairs set, entries -1..-3) and on the complete graphs
+# with entries -1 and -3, at 32 indices classify takes at most 0.2 s, roots
+# --max-height 1 and weyl --word 0 at most 0.45 s and cone 0.5-1.05 s; at 36
+# cone takes up to 1.5 s (in process, 2-core x86-64 VM, Python 3.11.7).
+MATRIX_MAX_INDICES = 32
+
+
+def _gcm_arg(x, option: str) -> kmdata.KacMoodyMatrix:
+    """A generalized Cartan matrix of at most MATRIX_MAX_INDICES indices."""
+    rows = _int_rows(x, option)
+    if len(rows) > MATRIX_MAX_INDICES:
+        raise UsageError(f"{option} has {len(rows)} rows, more than {MATRIX_MAX_INDICES}")
+    return kmdata.validate(rows)
+
+
 _REALIZATION_KEYS = ("rank", "simple_roots", "simple_coroots")
 
 
@@ -87,7 +118,7 @@ def _data_arg(text: str) -> kmdata.KacMoodyData:
         raise UsageError('--data must be a JSON object {"matrix": [[...]]} with an optional '
                          '"realization": {"rank": r, "simple_roots": [[...]], '
                          '"simple_coroots": [[...]]}')
-    matrix = kmdata.validate(_int_rows(obj["matrix"], "--data matrix"))
+    matrix = _gcm_arg(obj["matrix"], "--data matrix")
     if not real:
         return kmdata.minimal_realization(matrix)
     return kmdata.validate_data(matrix, _integer(real["rank"], "--data rank"),
@@ -96,7 +127,10 @@ def _data_arg(text: str) -> kmdata.KacMoodyData:
 
 
 def _rational(x, option: str) -> Fraction:
-    """A JSON number, or a string that spells a rational."""
+    """A JSON number, or a string that spells a rational without a decimal
+    exponent (1e999999999 would build 10^999999999)."""
+    if isinstance(x, str) and "e" in x.lower():
+        raise UsageError(f"{option}: {x!r}: write it as an integer, a/b or a decimal")
     if isinstance(x, (int, float, str)) and not isinstance(x, bool):
         try:
             return Fraction(str(x))
@@ -138,15 +172,21 @@ def _word_arg(text: str) -> tuple[int, ...]:
     return tuple(_integer(x, "--word") for x in text.replace(" ", "").split(","))
 
 
-def _mat_arg(cfg, text: str) -> Mat2:
-    """The 2x2 JSON matrix [[a,b],[c,d]] of field-element strings."""
-    rows = _json_arg(text, "--g")
+def _entries_2x2(text: str, option: str, kind: type, what: str) -> list:
+    """The entries a, b, c, d of the 2x2 JSON matrix [[a,b],[c,d]] in text,
+    each of type kind; what describes the entries and gives an example."""
+    rows = _json_arg(text, option)
     if not (isinstance(rows, list) and len(rows) == 2
             and all(isinstance(row, list) and len(row) == 2
-                    and all(isinstance(e, str) for e in row) for row in rows)):
-        raise UsageError('--g must be a 2x2 JSON matrix of element strings, '
-                         f'e.g. [["1","t"],["0","1"]]; got {text!r}')
-    return Mat2(*(parse_element(cfg, e, TREE_MAX_EXPONENT) for row in rows for e in row))
+                    and all(isinstance(e, kind) for e in row) for row in rows)):
+        raise UsageError(f"{option} must be a 2x2 JSON matrix of {what}; got {text!r}")
+    return [e for row in rows for e in row]
+
+
+def _mat_arg(cfg, text: str) -> Mat2:
+    """The 2x2 JSON matrix [[a,b],[c,d]] of field-element strings."""
+    entries = _entries_2x2(text, "--g", str, 'element strings, e.g. [["1","t"],["0","1"]]')
+    return Mat2(*(parse_element(cfg, e, TREE_MAX_EXPONENT) for e in entries))
 
 
 def _mat_out(g: Mat2) -> list[list[str]]:
@@ -157,7 +197,7 @@ def _mat_out(g: Mat2) -> list[list[str]]:
 # subcommand handlers
 
 def _cmd_classify(args) -> int:
-    m = kmdata.validate(_int_rows(_json_arg(args.matrix, "--matrix"), "--matrix"))
+    m = _gcm_arg(_json_arg(args.matrix, "--matrix"), "--matrix")
     comps = kmdata.decompose(m)
     if len(comps) == 1:
         cls = kmdata.classify(m).value
@@ -176,10 +216,6 @@ ROOTS_MAX_HEIGHT = 128
 
 
 def _cmd_roots(args) -> int:
-    if args.max_height < 1:
-        raise UsageError(f"--max-height must be >= 1, got {args.max_height}")
-    if args.max_height > ROOTS_MAX_HEIGHT:
-        raise UsageError(f"--max-height must be at most {ROOTS_MAX_HEIGHT}, got {args.max_height}")
     data = _data_arg(args.data)
     rs = weyl.enumerate_real_roots(data, args.max_height)
     by_h = rs.by_height()
@@ -195,9 +231,10 @@ def _cmd_roots(args) -> int:
 
 # The most letters of a weyl --word; the element and its inversion set take
 # one column update per letter, O(l n^2) at rank n.  128 letters take
-# 0.01-0.02 s on E10, affine A3 and [[2,-3],[-3,2]], 0.12 s on a rank-20
-# cycle with a chord and 0.4 s at rank 40, the minimal realization included
-# (in process, 2-core x86-64 VM, Python 3.11.7).
+# 0.01-0.02 s on E10, affine A3 and [[2,-3],[-3,2]], 0.1 s on a rank-20
+# cycle with a chord, 0.25 s on a rank-32 one and 0.45 s on a random dense
+# GCM of rank 32 (MATRIX_MAX_INDICES), the minimal realization included (in
+# process, 2-core x86-64 VM, Python 3.11.7).
 WEYL_MAX_WORD = 128
 
 
@@ -233,8 +270,6 @@ CONE_MAX_CAP = 5000
 
 
 def _cmd_cone(args) -> int:
-    if args.cap is not None and not 1 <= args.cap <= CONE_MAX_CAP:
-        raise UsageError(f"--cap must be in 1..{CONE_MAX_CAP}, got {args.cap}")
     data = _data_arg(args.data)
     v = _vec_arg(args.vector, data.rank)
     cap = args.cap or min(cone.default_cap(v), CONE_MAX_CAP)
@@ -373,8 +408,6 @@ def _cmd_tree(args) -> int:
             _emit(obj, args.json,
                   " -> ".join(obj["values"]) + f"   (breaks {obj['breakpoints']})")
     elif sub == "geodesic":
-        if not 1 <= args.n <= GEODESIC_MAX_N:
-            raise UsageError(f"--n must be in 1..{GEODESIC_MAX_N}, got {args.n}")
         p = _point(cfg, args.p)
         q = _point(cfg, args.q)
         pts = tree.geodesic(p, q, args.n)
@@ -386,8 +419,6 @@ def _cmd_tree(args) -> int:
         strs = [tree.point_to_str(w) for w in tree.neighbors(v)]
         _emit({"neighbors": strs}, args.json, "\n".join(strs))
     elif sub == "ball":
-        if args.radius < 0:
-            raise UsageError(f"--radius must be >= 0, got {args.radius}")
         center = _point(cfg, args.p) if args.p else tree.origin(cfg)
         _vertex_budget(center, _ball_size(cfg.p, args.radius),
                        f"--radius {args.radius}: the ball has")
@@ -489,8 +520,6 @@ GM_MAX_N = 32
 
 
 def _cmd_gm(args) -> int:
-    if not 0 <= args.n <= GM_MAX_N:
-        raise UsageError(f"--n must be in 0..{GM_MAX_N}, got {args.n}")
     p = loop.gm_poly(args.n)
     if args.json:
         obj = {",".join(map(str, e)): str(c) for e, c in sorted(p.items())}
@@ -514,14 +543,10 @@ def _ring_arg(text: str) -> loop.SeriesRing:
 
 def _uma_matrix_arg(text: str, ring: loop.SeriesRing) -> list[list]:
     """The 2x2 JSON matrix of coefficient lists, as four coefficient lists."""
-    rows = _json_arg(text, "--matrix")
-    if not (isinstance(rows, list) and len(rows) == 2
-            and all(isinstance(row, list) and len(row) == 2
-                    and all(isinstance(cell, list) for cell in row) for row in rows)):
-        raise UsageError("--matrix must be a 2x2 JSON matrix of coefficient lists, "
-                         f"e.g. [[[1],[0]],[[0],[1]]]; got {text!r}")
+    cells = _entries_2x2(text, "--matrix", list,
+                         "coefficient lists, e.g. [[[1],[0]],[[0],[1]]]")
     coeff = _rational if ring.kind == loop.QQ else _integer
-    return [[coeff(c, "--matrix") for c in cell] for row in rows for cell in row]
+    return [[coeff(c, "--matrix") for c in cell] for cell in cells]
 
 
 # The largest uma --mod; each series stores all its coefficients.  Dense
@@ -532,12 +557,7 @@ UMA_MAX_MOD = 512
 
 def _cmd_uma(args) -> int:
     ring = _ring_arg(args.ring)
-    n = args.mod
-    if n < 1:
-        raise UsageError(f"--mod must be >= 1, got {n}")
-    if n > UMA_MAX_MOD:
-        raise UsageError(f"--mod must be at most {UMA_MAX_MOD}, got {n}")
-    m = loop.SeriesMatrix(*(loop.series(ring, cell, n)
+    m = loop.SeriesMatrix(*(loop.series(ring, cell, args.mod)
                             for cell in _uma_matrix_arg(args.matrix, ring)))
     if args.uma_cmd == "member":
         _emit({"member": loop.uma_membership(m)}, True)
@@ -604,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="positive real roots by height")
     p.add_argument("--data", required=True, help="root datum JSON or @file")
-    p.add_argument("--max-height", type=int, required=True)
+    p.add_argument("--max-height", type=_bounded(1, ROOTS_MAX_HEIGHT), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_roots)
 
@@ -617,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cone", help="Tits cone membership certificate")
     p.add_argument("--data", required=True)
     p.add_argument("--vector", required=True, help="comma-separated rationals")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_bounded(1, CONE_MAX_CAP), default=None,
                    help=f"greedy steps, 1..{CONE_MAX_CAP} (default 10 per unit of the vector's "
                         f"size, at most {CONE_MAX_CAP})")
     p.set_defaults(fn=_cmd_cone)
@@ -650,12 +670,12 @@ def build_parser() -> argparse.ArgumentParser:
     q = tsub.add_parser("geodesic", parents=[common])
     q.add_argument("--p", required=True)
     q.add_argument("--q", required=True)
-    q.add_argument("--n", type=int, default=4)
+    q.add_argument("--n", type=_bounded(1, GEODESIC_MAX_N), default=4)
     q = tsub.add_parser("neighbors", parents=[common])
     q.add_argument("--p", required=True)
     q = tsub.add_parser("ball", parents=[field])
     q.add_argument("--p", default=None, help="center vertex (default origin)")
-    q.add_argument("--radius", type=int, required=True,
+    q.add_argument("--radius", type=_bounded(0), required=True,
                    help=f"at most {BALL_MAX_VERTICES} vertices (about 1 s): 12 over F2(t), "
                         "8 over F3(t) or Q3")
     q.add_argument("--format", choices=["text", "json", "dot"], default="text")
@@ -667,18 +687,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hecke", help="verify a piecewise-affine path")
     hsub = p.add_subparsers(dest="hecke_cmd", required=True)
-    q = hsub.add_parser("verify")
+    q = hsub.add_parser("verify", help=f"each fold's d*ht(D) may be at most {HECKE_MAX_FOLD}")
     q.add_argument("--data", required=True)
     q.add_argument("--path", required=True,
                    help='JSON {"breakpoints": [...], "positions": [[...]]} or @file')
     q.add_argument("--shape", required=True)
     q.add_argument("--chamber", choices=("+", "-"), default="-",
-                   help=f"sign of the reference chamber; each fold's d*ht(D) may be at "
-                        f"most {HECKE_MAX_FOLD}")
+                   help="sign of the reference chamber")
     p.set_defaults(fn=_cmd_hecke)
 
     p = sub.add_parser("gm", help="print a divided-power exponential coefficient")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_bounded(0, GM_MAX_N), required=True,
                    help=f"index, 0..{GM_MAX_N} (L_{GM_MAX_N} takes about 0.15 s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_gm)
@@ -689,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
         q = usub.add_parser(name)
         q.add_argument("--matrix", required=True,
                        help="JSON 2x2 of coefficient lists (low degree first)")
-        q.add_argument("--mod", type=int, required=True, help="modulus N >= 1 (mod t^N)")
+        q.add_argument("--mod", type=_bounded(1, UMA_MAX_MOD), required=True,
+                       help="modulus N >= 1 (mod t^N)")
         q.add_argument("--ring", default="F2", help="F<p> or Q")
     p.set_defaults(fn=_cmd_uma)
 

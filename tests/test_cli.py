@@ -1,5 +1,6 @@
 """CLI dispatch: outputs, exit codes, JSON round-trips."""
 
+import argparse
 import json
 import time
 from fractions import Fraction
@@ -14,12 +15,14 @@ from masure.cli import (
     GEODESIC_MAX_N,
     GM_MAX_N,
     HECKE_MAX_FOLD,
+    MATRIX_MAX_INDICES,
     PRENILPOTENT_MAX_HEIGHT,
     ROOTS_MAX_HEIGHT,
     TREE_MAX_EXPONENT,
     UMA_MAX_MOD,
     WEYL_MAX_WORD,
     _ball_size,
+    build_parser,
     main,
 )
 from masure.fields import PRIME_LIMIT, parse_field
@@ -37,6 +40,12 @@ def run(capsys, *argv):
 def assert_usage_error(code, out, err):
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
+
+
+def chain(n: int) -> str:
+    """The root datum of the Cartan matrix of A_n, as --data."""
+    return json.dumps({"matrix": [[2 if i == j else -(abs(i - j) == 1) for j in range(n)]
+                                  for i in range(n)]})
 
 
 class TestClassify:
@@ -62,9 +71,22 @@ class TestClassify:
                        "--matrix\n")
 
     @pytest.mark.parametrize("matrix", ["5", "{}", "[]", "[1, 2]", '[[2,"a"],[0,2]]',
-                                        "[[2,-1.5],[-1,2]]", "x"])
+                                        "[[2,-1.5],[-1,2]]", "x",
+                                        # more digits than int() takes, nesting deeper
+                                        # than the decoder's recursion limit
+                                        f"[[2,-{'1' * 5000}],[-1,2]]", "[" * 100000])
     def test_malformed_matrix(self, capsys, matrix):
         assert_usage_error(*run(capsys, "classify", "--matrix", matrix))
+
+    def test_indices_budget(self, capsys):
+        identity = [[2 if i == j else 0 for j in range(MATRIX_MAX_INDICES)]
+                    for i in range(MATRIX_MAX_INDICES)]
+        code, out, _ = run(capsys, "classify", "--matrix", json.dumps(identity))
+        assert code == 0 and len(json.loads(out)["components"]) == MATRIX_MAX_INDICES
+        big = [row + [0] for row in identity] + [[0] * MATRIX_MAX_INDICES + [2]]
+        code, out, err = run(capsys, "classify", "--matrix", json.dumps(big))
+        assert_usage_error(code, out, err)
+        assert f"{MATRIX_MAX_INDICES + 1} rows, more than {MATRIX_MAX_INDICES}" in err
 
 
 class TestTree:
@@ -259,6 +281,7 @@ class TestAlgebraCommands:
         ' "simple_coroots": [[1,0],[0,1]]}}',
         '{"matrix": [[2,-1],[-1,2]], "realization": {"rank": 2, "simple_roots": 7,'
         ' "simple_coroots": [[1,0],[0,1]]}}',
+        chain(MATRIX_MAX_INDICES + 1),
     ]
     DATA_COMMANDS = [
         ("roots", "--max-height", "2"),
@@ -274,6 +297,12 @@ class TestAlgebraCommands:
     def test_malformed_data(self, capsys, argv, data):
         head = 2 if argv[0] == "hecke" else 1
         assert_usage_error(*run(capsys, *argv[:head], "--data", data, *argv[head:]))
+
+    def test_data_indices_budget(self, capsys):
+        # one index more is in MALFORMED_DATA
+        code, out, _ = run(capsys, "roots", "--data", chain(MATRIX_MAX_INDICES),
+                           "--max-height", "1", "--json")
+        assert code == 0 and len(json.loads(out)["by_height"]["1"]) == MATRIX_MAX_INDICES
 
     def test_data_with_realization(self, capsys):
         real = ('{"matrix": [[2,-2],[-2,2]], "realization": {"rank": 3, '
@@ -531,6 +560,46 @@ class TestSignedValues:
         assert len(err.strip().splitlines()) == 1 and err.startswith("usage error")
 
 
+class TestDecimalExponent:
+    """A rational written as text takes no decimal exponent: 1e999999999
+    would build 10^999999999.  A JSON number keeps its exponent, which the
+    float range bounds."""
+
+    A2 = '{"matrix": [[2,-1],[-1,2]]}'
+    PATH = '{"breakpoints": [0, 1], "positions": [[0, 0], [1, 0]]}'
+
+    @pytest.mark.parametrize("argv", [
+        ("cone", "--data", A2, "--vector", "1e999999999,0"),
+        ("cone", "--data", A2, "--vector", "1e9,0"),
+        ("prenilpotent", "--data", A2, "--alpha", "1e999999999,0", "--beta", "0,1"),
+        ("hecke", "verify", "--data", A2, "--path", PATH, "--shape", "1e99999999,1"),
+        ("hecke", "verify", "--data", A2, "--shape", "1,0",
+         "--path", '{"breakpoints": ["0", "1E999999999"], "positions": [[0, 0], [1, 0]]}'),
+        ("hecke", "verify", "--data", A2, "--shape", "1,0",
+         "--path", '{"breakpoints": [0, 1], "positions": [[0, 0], ["1e999999999", 0]]}'),
+        ("uma", "member", "--ring", "Q", "--mod", "2",
+         "--matrix", '[[["1e999999999"],[0]],[[0],[1]]]'),
+    ])
+    def test_text_exponent_is_usage_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert_usage_error(code, out, err)
+        assert "write it as an integer, a/b or a decimal" in err
+
+    @pytest.mark.parametrize("argv, same", [
+        (("hecke", "verify", "--data", A2, "--shape", "1,0", "--path",
+          '{"breakpoints": [0, 1e0], "positions": [[0, 0], [1e0, 0]]}'),
+         ("hecke", "verify", "--data", A2, "--shape", "1,0", "--path", PATH)),
+        (("uma", "factorize", "--ring", "Q", "--mod", "2", "--matrix", "[[[1],[2e-1]],[[0],[1]]]"),
+         ("uma", "factorize", "--ring", "Q", "--mod", "2", "--matrix",
+          '[[[1],["1/5"]],[[0],[1]]]')),
+    ])
+    def test_json_number_exponent(self, capsys, argv, same):
+        got = run(capsys, *argv)
+        assert got[0] in (0, 1) and got[2] == "" and got == run(capsys, *same)
+
+
 class TestSelftest:
     def test_subset(self, capsys):
         code, out, _ = run(capsys, "selftest", "--criteria", "1,2,10")
@@ -739,6 +808,57 @@ class TestSizeBudgets:
                                  "--mod", str(mod))
             assert_usage_error(code, out, err)
             assert str(UMA_MAX_MOD) in err
+
+
+def _options(parser: argparse.ArgumentParser):
+    """(prog, action) for every option of the parser and its subparsers."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _options(sub)
+        elif action.option_strings:
+            yield parser.prog, action
+
+
+BOUNDED = {
+    ("masure roots", "--max-height"): (1, ROOTS_MAX_HEIGHT),
+    ("masure cone", "--cap"): (1, CONE_MAX_CAP),
+    ("masure tree geodesic", "--n"): (1, GEODESIC_MAX_N),
+    ("masure tree ball", "--radius"): (0, None),
+    ("masure gm", "--n"): (0, GM_MAX_N),
+    ("masure uma member", "--mod"): (1, UMA_MAX_MOD),
+    ("masure uma factorize", "--mod"): (1, UMA_MAX_MOD),
+}
+
+
+def test_integer_options_declare_their_range():
+    # the parser is the one table of integer bounds: a new integer option
+    # takes a bounded type, and --seed alone takes any integer
+    options = list(_options(build_parser()))
+    assert [(prog, a.dest) for prog, a in options if a.type is int] == [("masure", "seed")]
+    bounds = {(prog, a.option_strings[0]): (a.type.lo, a.type.hi) for prog, a in options
+              if hasattr(a.type, "lo")}
+    assert bounds == BOUNDED
+
+
+@pytest.mark.parametrize("prog, flag", sorted(BOUNDED))
+def test_out_of_range_message(capsys, prog, flag):
+    lo, hi = BOUNDED[prog, flag]
+    for value in [lo - 1] + ([] if hi is None else [hi + 1]):
+        code, out, err = run(capsys, *prog.split()[1:], flag, str(value))
+        assert_usage_error(code, out, err)
+        assert err == (f"usage error: {prog}: argument {flag}: must be in "
+                       f"{lo}..{'' if hi is None else hi}, got {value}\n")
+    code, out, err = run(capsys, *prog.split()[1:], flag, "x")
+    assert err == f"usage error: {prog}: argument {flag}: invalid int value: 'x'\n"
+
+
+def test_range_is_checked_before_the_handler(capsys):
+    # a bad --ring is found in the handler, after argparse rejects --mod
+    code, out, err = run(capsys, "uma", "member", "--matrix", "[[[1],[0]],[[0],[1]]]",
+                         "--ring", "Z", "--mod", "0")
+    assert_usage_error(code, out, err)
+    assert f"argument --mod: must be in 1..{UMA_MAX_MOD}, got 0" in err
 
 
 class TestPrimeField:

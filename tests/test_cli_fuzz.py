@@ -8,10 +8,13 @@ subcommand or option of these commands is drawn without editing this test.
 Values are drawn by what an option takes (a field, a point, an element, a
 matrix, a root datum, a vector, a word, a coefficient ring, an integer or
 one of its choices), valid and invalid, with exponents, positions,
-coordinates, heights, indices and moduli up to 10^9 and words around the
-longest one weyl takes.  Some argv are ones argparse itself rejects: a
-required option left out, a value outside the choices, or an integer option
-given a non-integer.  hecke is left out, since the time a fold search takes
+coordinates, heights, indices and moduli up to 10^9, decimal exponents up
+to 10^999999999 and words around the longest one weyl takes.  Every integer
+option carries its range lo..hi on its argparse type, which this test reads
+and draws lo - 1, lo and hi + 1 from; a value out of range must exit 2.  Some
+argv are ones argparse itself rejects: a required option left out, a value
+outside the choices, or an integer option given a non-integer.  hecke is
+left out, since the time a fold search takes
 at its budget grows steeply with the rank (seconds at rank 10; see
 HECKE_MAX_FOLD), and so is selftest, which runs the acceptance suite.
 """
@@ -135,7 +138,8 @@ def _unipotent(b: list[int], c: list[int]) -> str:
 
 int_lists = st.lists(small, max_size=6)
 coefficient_lists = st.lists(st.one_of(small, st.builds("{}/{}".format, small, st.integers(-3, 6)),
-                                       st.sampled_from(["x", 1.5, None])), max_size=6)
+                                       st.sampled_from(["x", 1.5, None, "1e999999999"])),
+                               max_size=6)
 series_matrices = st.one_of(
     st.builds(_unipotent, int_lists, int_lists),
     st.lists(coefficient_lists, min_size=4, max_size=4).map(
@@ -165,7 +169,7 @@ data = st.one_of(
 )
 coordinates = st.one_of(small, small, st.integers(-BIG, BIG),
                         st.builds("{}/{}".format, small, st.integers(-3, 6)),
-                        st.sampled_from(["x", "", "1.5", "1e9"]))
+                        st.sampled_from(["x", "", "1.5", "1e9", "1e999999999"]))
 vectors = st.lists(coordinates, min_size=1, max_size=5).map(_csv)
 by_dest = {"field": fields, "p": points, "q": points, "a": elements, "g": matrices,
            "data": data, "vector": vectors, "alpha": vectors, "beta": vectors,
@@ -178,18 +182,28 @@ not_integers = st.sampled_from(["x", "1.5", "", "1e3", "--"])
 not_choices = st.sampled_from(["bogus", "", "++", "0"])
 
 
+def _out_of_range(action: argparse.Action, value) -> bool:
+    """Whether value is an integer outside the range lo..hi of the option's type."""
+    if not (hasattr(action.type, "lo") and isinstance(value, int)):
+        return False
+    return value < action.type.lo or action.type.hi is not None and value > action.type.hi
+
+
 def _value(draw, action: argparse.Action, name: str):
     if action.choices is not None:
         wrong = draw(st.integers(0, 19)) == 0
         return draw(not_choices if wrong else st.sampled_from(list(action.choices)))
-    if action.type is int:
-        return draw(not_integers if draw(st.integers(0, 19)) == 0 else sizes)
+    if hasattr(action.type, "lo"):
+        lo, hi = action.type.lo, action.type.hi
+        edges = st.sampled_from([lo - 1, lo] + ([] if hi is None else [hi + 1]))
+        return draw(not_integers if draw(st.integers(0, 19)) == 0 else st.one_of(edges, sizes))
     anything = st.one_of(fields, points, elements, matrices)
     return draw(by_dest.get((name, action.dest), by_dest.get(action.dest, anything)))
 
 
 @st.composite
-def cli_argv(draw) -> list[str]:
+def cli_argv(draw) -> tuple[list[str], bool]:
+    """An argv, and whether it gives an integer option a value out of range."""
     varied = draw(st.integers(1, 13)) <= 8
     name = draw(st.sampled_from([n for n in FUZZED if (n in VARIED) == varied]))
     if NESTED[name]:
@@ -197,6 +211,7 @@ def cli_argv(draw) -> list[str]:
         argv, parser = [name, sub], NESTED[name][sub]
     else:
         argv, parser = [name], COMMANDS[name]
+    out_of_range = False
     for action in parser._actions:
         if not action.option_strings or isinstance(action, argparse._HelpAction):
             continue
@@ -207,8 +222,10 @@ def cli_argv(draw) -> list[str]:
         if action.nargs == 0:
             argv.append(flag)
         else:
-            argv.append(f"{flag}={_value(draw, action, name)}")
-    return argv
+            value = _value(draw, action, name)
+            out_of_range |= _out_of_range(action, value)
+            argv.append(f"{flag}={value}")
+    return argv, out_of_range
 
 
 class Runaway(BaseException):
@@ -225,8 +242,9 @@ DEADLINE = 5
 
 @settings(max_examples=650, deadline=timedelta(seconds=DEADLINE),
           suppress_health_check=[HealthCheck.too_slow])
-@given(argv=cli_argv())
-def test_cli_contract(argv):
+@given(drawn=cli_argv())
+def test_cli_contract(drawn):
+    argv, out_of_range = drawn
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _stop)
     signal.setitimer(signal.ITIMER_REAL, 2 * DEADLINE)
@@ -236,7 +254,7 @@ def test_cli_contract(argv):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert code in (0, 1, 2)
+    assert code == 2 if out_of_range else code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code:
         assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
